@@ -12,7 +12,8 @@ Exit codes: 0 all checks passed, 1 any mismatch or failed test, 2 usage
 error.  Rationals cross the boundary as exact fraction strings ("7/2");
 json and csv output is byte-identical for identical configurations
 (timings are therefore only shown in pretty mode).  EXPORDER_SEED
-(decimal) overrides the default seed when --seed is not given.
+(decimal, checked like --seed) overrides the default seed when --seed is
+not given.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -37,8 +38,16 @@ DEFAULT_SEED = 20170807
 SEED_ENV_VAR = "EXPORDER_SEED"
 
 DEFAULT_N_LIST = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
-DEFAULT_TARGETS = ("gamma", "basel", "variance", "gumbel", "tail")
-_TABLE_TARGETS = ("gamma", "basel", "variance", "gumbel")
+
+# converge table target -> convergence function; looked up by name at call
+# time, so a wrapper later bound to the module attribute is the one called
+_TABLES = {
+    "gamma": "euler_gamma_table",
+    "basel": "basel_table",
+    "variance": "variance_convergence_check",
+    "gumbel": "gumbel_approx_error",
+}
+DEFAULT_TARGETS = (*_TABLES, "tail")
 
 # audit defaults: 50 log-spaced sizes in [1, 10^4], x = 0.01 .. 10 step 0.01
 TAIL_N_GRID = tuple(
@@ -51,10 +60,10 @@ GUMBEL_ERROR_BUDGET = 0.3  # sup distance must stay below this over n
 
 @dataclass
 class RunConfig:
-    """Validated CLI invocation."""
+    """Validated CLI invocation; an option the parser leaves unset takes its default here."""
 
     command: str
-    max_n: int = 12
+    max_n: int = identities.DEFAULT_MAX_N_STRUCTURAL
     max_r: int = 4
     s_grid: tuple = identities.DEFAULT_S_GRID
     seed: int = DEFAULT_SEED
@@ -104,8 +113,11 @@ def _unsigned_int(text: str) -> int:
     return value
 
 
-def _int_list(text: str) -> tuple:
-    return tuple(_positive_int(part) for part in text.split(","))
+def _n_list(text: str) -> tuple:
+    ns = tuple(_positive_int(part) for part in text.split(","))
+    if any(b < a for a, b in zip(ns, ns[1:])):
+        raise argparse.ArgumentTypeError(f"n list must be nondecreasing, got {text!r}")
+    return ns
 
 
 def _targets(text: str) -> tuple:
@@ -127,51 +139,58 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, formats: Sequence[str]) -> None:
-        p.add_argument("--format", choices=formats, default="pretty", dest="output_format")
-        p.add_argument("--output", dest="output_path", default=None, metavar="PATH")
-        p.add_argument("--seed", type=_unsigned_int, default=None)
+        p.add_argument("--format", choices=formats, dest="output_format")
+        p.add_argument("--output", dest="output_path", metavar="PATH")
+        p.add_argument("--seed", type=_unsigned_int)
 
     p_verify = sub.add_parser("verify", help="run the exact identity sweep")
-    p_verify.add_argument("--max-n", type=_positive_int, default=12)
-    p_verify.add_argument("--max-r", type=_positive_int, default=4)
-    p_verify.add_argument("--s", type=_fraction_list, default=identities.DEFAULT_S_GRID, dest="s_grid")
+    p_verify.add_argument("--max-n", type=_positive_int)
+    p_verify.add_argument("--max-r", type=_positive_int)
+    p_verify.add_argument("--s", type=_fraction_list, dest="s_grid")
     add_common(p_verify, ("json", "pretty"))
 
     p_sim = sub.add_parser("simulate", help="fixed-seed sampler checks")
     p_sim.add_argument("--max-n", type=_positive_int, default=6)
-    p_sim.add_argument("--replicates", type=_positive_int, default=100_000)
+    p_sim.add_argument("--replicates", type=_positive_int)
     add_common(p_sim, ("json", "pretty"))
 
     p_conv = sub.add_parser("converge", help="limit tables and the tail audit")
-    p_conv.add_argument("--targets", type=_targets, default=DEFAULT_TARGETS)
-    p_conv.add_argument("--n", type=_int_list, default=DEFAULT_N_LIST, dest="n_list")
+    p_conv.add_argument("--targets", type=_targets)
+    p_conv.add_argument("--n", type=_n_list, dest="n_list")
     add_common(p_conv, ("json", "csv", "pretty"))
 
     p_race = sub.add_parser("race", help="gamma vs order statistic, exact and simulated")
-    p_race.add_argument("--n", type=_positive_int, default=3, dest="race_n")
-    p_race.add_argument("--k", type=_positive_int, default=2, dest="race_k")
-    p_race.add_argument("--r", type=_positive_int, default=1, dest="race_r")
-    p_race.add_argument("--s", type=_positive_fraction, default=Fraction(1), dest="race_s")
+    p_race.add_argument("--n", type=_positive_int, dest="race_n")
+    p_race.add_argument("--k", type=_positive_int, dest="race_k")
+    p_race.add_argument("--r", type=_positive_int, dest="race_r")
+    p_race.add_argument("--s", type=_positive_fraction, dest="race_s")
     p_race.add_argument("--replicates", type=_positive_int, default=1_000_000)
-    p_race.add_argument("--chunks", type=_positive_int, default=1)
+    p_race.add_argument("--chunks", type=_positive_int)
     add_common(p_race, ("json", "pretty"))
 
     p_all = sub.add_parser("all", help="verify, simulate, converge with default grids")
-    p_all.add_argument("--replicates", type=_positive_int, default=100_000)
+    p_all.add_argument("--replicates", type=_positive_int)
     add_common(p_all, ("json", "pretty"))
 
     return parser
 
 
+def _config(ns: argparse.Namespace) -> RunConfig:
+    fields = RunConfig.__dataclass_fields__
+    return RunConfig(**{k: v for k, v in vars(ns).items() if k in fields and v is not None})
+
+
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     """Parse argv into a RunConfig; argparse exits with code 2 on usage errors."""
-    ns = build_parser().parse_args(argv)
-    if ns.seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        ns.seed = int(env) if env else DEFAULT_SEED
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in vars(ns).items() if k in fields and v is not None}
-    return RunConfig(**kwargs)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    env = os.environ.get(SEED_ENV_VAR)
+    if ns.seed is None and env:
+        try:
+            ns.seed = _unsigned_int(env)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"{SEED_ENV_VAR}: {exc}")
+    return _config(ns)
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -241,18 +260,6 @@ def _run_simulate(config: RunConfig) -> tuple[int, str]:
     return (0 if not failures else 1), text
 
 
-def _converge_rows(target: str, n_list: Sequence[int]) -> list[convergence.ConvergenceRow]:
-    if target == "gamma":
-        return convergence.euler_gamma_table(n_list)
-    if target == "basel":
-        return convergence.basel_table(n_list)
-    if target == "variance":
-        return convergence.variance_convergence_check(n_list)
-    if target == "gumbel":
-        return convergence.gumbel_approx_error(n_list)
-    raise ValueError(f"unknown table target {target!r}")
-
-
 def _audit_rows(target: str, rows: Sequence[convergence.ConvergenceRow]) -> list[str]:
     """Built-in per-row sanity checks mirrored from the verification suite."""
     problems = []
@@ -276,7 +283,7 @@ def _audit_rows(target: str, rows: Sequence[convergence.ConvergenceRow]) -> list
 
 
 def _run_converge(config: RunConfig) -> tuple[int, str]:
-    table_targets = [t for t in config.targets if t in _TABLE_TARGETS]
+    table_targets = [t for t in config.targets if t in _TABLES]
     want_tail = "tail" in config.targets
     if config.output_format == "csv" and want_tail:
         sys.stderr.write("exporder: the tail audit has no CSV form; use --format json\n")
@@ -285,7 +292,7 @@ def _run_converge(config: RunConfig) -> tuple[int, str]:
     problems: list[str] = []
     chunks: list[str] = []
     for target in table_targets:
-        rows = _converge_rows(target, config.n_list)
+        rows = getattr(convergence, _TABLES[target])(config.n_list)
         problems.extend(_audit_rows(target, rows))
         if config.output_format == "csv":
             header = "" if len(table_targets) == 1 else f"table,{target}\n"
@@ -357,37 +364,34 @@ def _run_race(config: RunConfig) -> tuple[int, str]:
     return (0 if ok else 1), text
 
 
+def _run_all(config: RunConfig) -> tuple[int, str]:
+    parser = build_parser()
+    code, pieces = 0, []
+    for command in ("verify", "simulate", "converge"):
+        sub = replace(
+            _config(parser.parse_args([command])),
+            seed=config.seed,
+            replicates=config.replicates,
+            output_format=config.output_format,
+        )
+        sub_code, text = _COMMANDS[command](sub)
+        code = max(code, sub_code)
+        pieces.append(text)
+    return code, "".join(pieces)
+
+
+_COMMANDS = {
+    "verify": _run_verify,
+    "simulate": _run_simulate,
+    "converge": _run_converge,
+    "race": _run_race,
+    "all": _run_all,
+}
+
+
 def run(config: RunConfig) -> int:
     """Execute one configured command; returns the process exit code."""
-    if config.command == "verify":
-        code, text = _run_verify(config)
-    elif config.command == "simulate":
-        code, text = _run_simulate(config)
-    elif config.command == "converge":
-        code, text = _run_converge(config)
-    elif config.command == "race":
-        code, text = _run_race(config)
-    elif config.command == "all":
-        pieces = []
-        code = 0
-        for cmd in ("verify", "simulate", "converge"):
-            sub = RunConfig(
-                command=cmd,
-                seed=config.seed,
-                replicates=config.replicates,
-                output_format=config.output_format,
-                max_n=12 if cmd == "verify" else 6,
-            )
-            sub_code, text = (
-                _run_verify(sub) if cmd == "verify"
-                else _run_simulate(sub) if cmd == "simulate"
-                else _run_converge(sub)
-            )
-            code = max(code, sub_code)
-            pieces.append(text)
-        text = "".join(pieces)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValueError(f"unknown command {config.command!r}")
+    code, text = _COMMANDS[config.command](config)
     _emit(config, text)
     return code
 

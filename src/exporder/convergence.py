@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import _zn_cdf_array, gumbel_cdf, orderstat_var
+from .exact import _sum_pairs
 from .laplace import OrderStatParams
 from .sampling import SampleBatch
 
@@ -148,29 +149,9 @@ def ks_two_sample(
 # -- reciprocal-power partial sums ------------------------------------------
 
 
-def _exact_recip_power_sum(n: int, power: int) -> tuple[int, int]:
-    """sum_{j<=n} 1/j^power as an unreduced (numerator, denominator) pair.
-
-    Divide-and-conquer merging keeps the integer sizes balanced; no gcd is
-    taken because callers only need a correctly rounded float (int true
-    division) or can normalize once themselves.
-    """
-    items = [(1, j**power) for j in range(1, n + 1)]
-    while len(items) > 1:
-        merged = []
-        for i in range(0, len(items) - 1, 2):
-            n1, d1 = items[i]
-            n2, d2 = items[i + 1]
-            merged.append((n1 * d2 + n2 * d1, d1 * d2))
-        if len(items) % 2:
-            merged.append(items[-1])
-        items = merged
-    return items[0]
-
-
 def _recip_power_sum_value(n: int, power: int) -> float:
     if n <= EXACT_SUM_LIMIT:
-        num, den = _exact_recip_power_sum(n, power)
+        num, den = _sum_pairs([(1, j**power) for j in range(1, n + 1)])
         return num / den
     return math.fsum(1.0 / float(j) ** power for j in range(1, n + 1))
 
@@ -208,18 +189,16 @@ def variance_convergence_check(n_list: Sequence[int]) -> list[ConvergenceRow]:
     """Variance of the n-th order statistic against pi^2/6.
 
     Routed through the order-statistic variance formula (sum of
-    1/(n-k+j)^2), which must reproduce the Basel partial sums bit for bit.
-    Above EXACT_SUM_LIMIT the exact rational is impractical, so the same
-    compensated float summation takes over, mirroring the policy of the
-    other tables.
+    1/(n-k+j)^2 with k = n), which must reproduce the Basel partial sums bit
+    for bit.  Above EXACT_SUM_LIMIT the exact rational is impractical, so
+    the Basel table's compensated float summation takes over.
     """
     rows = []
     for n in _check_n_list(n_list):
-        k = n
         if n <= EXACT_SUM_LIMIT:
-            value = float(orderstat_var(OrderStatParams(n, k)))
+            value = float(orderstat_var(OrderStatParams(n, n)))
         else:
-            value = math.fsum(1.0 / float(n - k + j) ** 2 for j in range(1, k + 1))
+            value = _recip_power_sum_value(n, 2)
         rows.append(ConvergenceRow(n, value, PI_SQUARED_OVER_6, abs(value - PI_SQUARED_OVER_6)))
     return rows
 

@@ -40,9 +40,9 @@ class GammaParams:
     r: int
 
     def __post_init__(self):
-        if not self.s > 0:
+        if isinstance(self.s, bool) or not self.s > 0:
             raise ValueError(f"rate must be > 0, got {self.s}")
-        if not (isinstance(self.r, int) and self.r >= 1):
+        if isinstance(self.r, bool) or not (isinstance(self.r, int) and self.r >= 1):
             raise ValueError(f"shape must be an integer >= 1, got {self.r}")
 
 
@@ -74,6 +74,8 @@ def orderstat_cdf(p: OrderStatParams, t: float) -> float:
     the result is monotone to within a few ulps even on the plateau near 1.
     """
     t = _check_nonnegative(t)
+    if math.isinf(t):
+        return 1.0
     w = -math.expm1(-t)
     return math.fsum(
         binomial(p.n, m) * w**m * math.exp(-(p.n - m) * t) for m in range(p.k, p.n + 1)
@@ -91,15 +93,21 @@ def orderstat_var(p: OrderStatParams) -> Rational:
 
 
 def erlang_survival(g: GammaParams, x: float) -> float:
-    """P(X > x) for X ~ Gamma(rate=s, integer shape=r): the Erlang tail sum."""
+    """P(X > x) for X ~ Gamma(rate=s, integer shape=r): the Erlang tail sum.
+
+    The terms e^-sx (sx)^j / j!, j < r, are summed in log space relative to
+    the largest one; e^-sx alone underflows to 0 for sx beyond ~745 even
+    where the sum is close to 1.
+    """
     x = _check_nonnegative(x, "x")
     sx = float(g.s) * x
-    term = math.exp(-sx)
-    total = term
-    for j in range(1, g.r):
-        term *= sx / j
-        total += term
-    return min(total, 1.0)
+    if sx == 0.0:
+        return 1.0
+    if math.isinf(sx):
+        return 0.0
+    log_terms = [j * math.log(sx) - sx - math.lgamma(j + 1) for j in range(g.r)]
+    top = max(log_terms)
+    return min(math.exp(top) * math.fsum(math.exp(t - top) for t in log_terms), 1.0)
 
 
 def race_probability_exact(p: OrderStatParams, g: GammaParams) -> Rational:
@@ -111,7 +119,8 @@ def race_probability_exact(p: OrderStatParams, g: GammaParams) -> Rational:
 
 def gumbel_cdf(x: float) -> float:
     """Standard Gumbel cdf exp(-e^-x)."""
-    return math.exp(-math.exp(-float(x)))
+    # beyond e^709 the cdf is already 0.0; clamp before math.exp overflows
+    return math.exp(-math.exp(min(-float(x), 709.0)))
 
 
 def zn_cdf(n: int, x: float) -> float:

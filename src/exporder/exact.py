@@ -40,16 +40,17 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def sum_fractions(terms: Iterable[Scalar]) -> Fraction:
-    """Exact sum of many fractions by divide-and-conquer merging.
+def _sum_pairs(items: list[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of (numerator, denominator) pairs by divide-and-conquer merging.
 
     Pairwise merging keeps intermediate numerators/denominators balanced, so
     summing ~10^4 terms stays far cheaper than left-to-right Fraction
-    addition (which normalizes after every step).
+    addition (which normalizes after every step).  The result is left
+    unreduced: a caller that only needs a float gets it correctly rounded
+    from int true division, and skips the final gcd.
     """
-    items = [(f.numerator, f.denominator) if isinstance(f, Fraction) else (f, 1) for f in terms]
     if not items:
-        return Fraction(0)
+        return 0, 1
     while len(items) > 1:
         merged = []
         for i in range(0, len(items) - 1, 2):
@@ -59,7 +60,13 @@ def sum_fractions(terms: Iterable[Scalar]) -> Fraction:
         if len(items) % 2:
             merged.append(items[-1])
         items = merged
-    return Fraction(*items[0])
+    return items[0]
+
+
+def sum_fractions(terms: Iterable[Scalar]) -> Fraction:
+    """Exact sum of many fractions by divide-and-conquer merging, normalized once."""
+    items = [(f.numerator, f.denominator) if isinstance(f, Fraction) else (f, 1) for f in terms]
+    return Fraction(*_sum_pairs(items))
 
 
 class Polynomial:

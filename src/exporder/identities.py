@@ -100,11 +100,15 @@ def _report(identity_id: str, params: dict, lhs: Side, rhs: Side, t0: float) -> 
     return IdentityReport(identity_id, params, lhs, rhs, verdict, time.perf_counter() - t0)
 
 
-def verify_main(n: int, k: int) -> IdentityReport:
-    """Product form vs double-sum form as canonical rational functions."""
+def _transform_report(identity_id: str, n: int, k: int) -> IdentityReport:
     t0 = time.perf_counter()
     p = OrderStatParams(n, k)
-    return _report("product_vs_double_sum", {"n": n, "k": k}, double_sum_form(p), product_form(p), t0)
+    return _report(identity_id, {"n": n, "k": k}, double_sum_form(p), product_form(p), t0)
+
+
+def verify_main(n: int, k: int) -> IdentityReport:
+    """Product form vs double-sum form as canonical rational functions."""
+    return _transform_report("product_vs_double_sum", n, k)
 
 
 def verify_min_order(n: int) -> IdentityReport:
@@ -117,10 +121,7 @@ def verify_min_order(n: int) -> IdentityReport:
 
 def verify_max_order(n: int) -> IdentityReport:
     """k=n double sum vs the full product over j = 1..n, structurally."""
-    t0 = time.perf_counter()
-    lhs = double_sum_form(OrderStatParams(n, n))
-    rhs = product_form(OrderStatParams(n, n))
-    return _report("double_sum_max_order", {"n": n, "k": n}, lhs, rhs, t0)
+    return _transform_report("double_sum_max_order", n, n)
 
 
 def verify_max_order_value(n: int, s: Rational) -> IdentityReport:
@@ -263,58 +264,43 @@ def run_suite(
     s_grid = tuple(Fraction(s) for s in s_grid)
     reports: list[IdentityReport] = []
 
+    # callers pass the verify_* module globals as read at each call, so a
+    # rebound checker (a test's injected fault, a tracer) is the one run
+    def case(fn: Callable[..., IdentityReport], identity_id: str, **params) -> None:
+        reports.append(_run_case(lambda: fn(**params), identity_id, params))
+
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
-            reports.append(_run_case(lambda n=n, k=k: verify_main(n, k), "product_vs_double_sum", {"n": n, "k": k}))
-        reports.append(_run_case(lambda n=n: verify_min_order(n), "double_sum_min_order", {"n": n}))
-        reports.append(_run_case(lambda n=n: verify_max_order(n), "double_sum_max_order", {"n": n}))
+            case(verify_main, "product_vs_double_sum", n=n, k=k)
+        case(verify_min_order, "double_sum_min_order", n=n)
+        case(verify_max_order, "double_sum_max_order", n=n)
 
     for n in range(1, max_n_pointwise + 1):
         for s in s_grid:
-            reports.append(
-                _run_case(lambda n=n, s=s: verify_max_order_value(n, s), "double_sum_max_order", {"n": n, "s": s})
-            )
+            case(verify_max_order_value, "double_sum_max_order", n=n, s=s)
 
     for n in range(1, max_integer_rate + 1):
         for k_s in range(1, max_integer_rate + 1):
-            reports.append(
-                _run_case(lambda n=n, k_s=k_s: verify_integer_rate(n, k_s), "integer_rate_reciprocal_binomial", {"n": n, "k_s": k_s})
-            )
+            case(verify_integer_rate, "integer_rate_reciprocal_binomial", n=n, k_s=k_s)
 
     for n in range(1, max_n_nested + 1):
         for k in range(1, n + 1):
             for s in s_grid:
-                reports.append(
-                    _run_case(lambda n=n, k=k, s=s: verify_nested(n, k, s), "nested_product_sum", {"n": n, "k": k, "s": s})
-                )
+                case(verify_nested, "nested_product_sum", n=n, k=k, s=s)
 
     for n in range(1, max_n_power + 1):
         for k in range(1, n + 1):
             for r in range(1, max_r + 1):
                 for s in s_grid:
-                    reports.append(
-                        _run_case(
-                            lambda n=n, k=k, r=r, s=s: verify_generalized(n, k, r, s),
-                            "power_sum_vs_derivative_sum",
-                            {"n": n, "k": k, "r": r, "s": s},
-                        )
-                    )
+                    case(verify_generalized, "power_sum_vs_derivative_sum", n=n, k=k, r=r, s=s)
             if max_r >= 2:
                 for s in s_grid:
-                    reports.append(
-                        _run_case(
-                            lambda n=n, k=k, s=s: verify_square_closed_form(n, k, s),
-                            "square_power_closed_form",
-                            {"n": n, "k": k, "s": s},
-                        )
-                    )
+                    case(verify_square_closed_form, "square_power_closed_form", n=n, k=k, s=s)
 
     if max_r >= 2:
         for n in range(1, max_n_square_min + 1):
             for s in s_grid:
-                reports.append(
-                    _run_case(lambda n=n, s=s: verify_square_min_order(n, s), "square_power_min_order", {"n": n, "s": s})
-                )
+                case(verify_square_min_order, "square_power_min_order", n=n, s=s)
 
     rng = random.Random(involution_seed)
     for idx, length in enumerate(involution_lengths):

@@ -39,7 +39,7 @@ class OrderStatParams:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.k, int)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.n, self.k)):
             raise TypeError("n and k must be integers")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"order index must satisfy 1 <= k <= n, got k={self.k}, n={self.n}")

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, output contracts, exit codes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -52,6 +53,13 @@ class TestParsing:
         monkeypatch.setenv(cli.SEED_ENV_VAR, "987654321")
         assert parse(["race"]).seed == 987654321
 
+    @pytest.mark.parametrize("env", ["abc", "-1", str(2**64)])
+    def test_bad_env_seed_is_usage_error(self, monkeypatch, env):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+        with pytest.raises(SystemExit) as exc:
+            parse(["race"])
+        assert exc.value.code == 2
+
     def test_explicit_seed_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "987654321")
         assert parse(["race", "--seed", "5"]).seed == 5
@@ -59,6 +67,11 @@ class TestParsing:
     def test_converge_targets_validated(self):
         with pytest.raises(SystemExit) as exc:
             parse(["converge", "--targets", "gamma,nonsense"])
+        assert exc.value.code == 2
+
+    def test_decreasing_n_list_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            parse(["converge", "--n", "20000,10"])
         assert exc.value.code == 2
 
 
@@ -174,3 +187,29 @@ class TestRaceCommand:
         _, first = run_cli(self.ARGS + ["--format", "json"], capsys)
         _, second = run_cli(self.ARGS + ["--format", "json"], capsys)
         assert first == second
+
+
+class TestBehaviourAnchors:
+    """Stdout of the default commands, pinned by sha256 prefix and byte count."""
+
+    VERIFY_JSON = ("2d0ffff83ac3c35d", 304_729)
+
+    @staticmethod
+    def anchor(data: bytes) -> tuple:
+        return hashlib.sha256(data).hexdigest()[:16], len(data)
+
+    def test_all_json(self, capsys, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        code, out = run_cli(["all", "--format", "json"], capsys)
+        data = out.encode()
+        assert code == 0
+        assert self.anchor(data) == ("59ba988b747208de", 620_727)
+        # all starts with the output of verify at its defaults
+        assert self.anchor(data[: self.VERIFY_JSON[1]]) == self.VERIFY_JSON
+
+    def test_converge_tables_csv(self, capsys):
+        code, out = run_cli(
+            ["converge", "--format", "csv", "--targets", "gamma,basel,variance,gumbel"], capsys
+        )
+        assert code == 0
+        assert self.anchor(out.encode()) == ("71d741d451e58a1d", 1_632)

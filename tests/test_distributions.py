@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
 from exporder.distributions import (
     GammaParams,
@@ -68,6 +69,10 @@ class TestCdf:
         # ~m ulps each, so the plateau near 1 wobbles at the 1e-15 scale
         assert np.all(np.diff(vals) >= -5e-15)
         assert np.all(vals <= 1.0 + 5e-15)
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (3, 2), (6, 6)])
+    def test_infinite_t(self, n, k):
+        assert orderstat_cdf(OrderStatParams(n, k), math.inf) == 1.0
 
     @pytest.mark.parametrize("n,k", [(1, 1), (4, 2), (6, 6), (10, 3)])
     def test_derivative_matches_pdf(self, n, k):
@@ -133,11 +138,29 @@ class TestErlangSurvival:
             expected = math.exp(-s * x) * (s * x) ** (r - 1) / math.factorial(r - 1)
             assert delta == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "s,r,x",
+        [
+            (1, 1000, 800.0),  # e^-sx underflows; the tail sum is ~1
+            (1, 800, 760.0),
+            (1, 3000, 3500.0),  # deep tail, far from 0 and 1
+            (0.5, 50, 3.0),
+            (1e-3, 3, 1e5),
+            (2.5, 12, 4.0),
+        ],
+    )
+    def test_matches_scipy(self, s, r, x):
+        assert erlang_survival(GammaParams(s, r), x) == pytest.approx(gammaincc(r, s * x), rel=1e-10)
+
     def test_bad_params(self):
         with pytest.raises(ValueError):
             GammaParams(0, 1)
         with pytest.raises(ValueError):
             GammaParams(1.0, 0)
+        with pytest.raises(ValueError):
+            GammaParams(1, True)
+        with pytest.raises(ValueError):
+            GammaParams(True, 1)
 
 
 class TestRaceProbability:
@@ -170,6 +193,10 @@ class TestGumbel:
     def test_upper_limit(self):
         assert gumbel_cdf(50.0) == pytest.approx(1.0)
         assert gumbel_cdf(1e6) == 1.0
+
+    def test_lower_limit(self):
+        assert gumbel_cdf(-800.0) == 0.0
+        assert gumbel_cdf(-math.inf) == 0.0
 
     def test_median_inversion(self):
         assert gumbel_cdf(-math.log(math.log(2))) == pytest.approx(0.5, rel=1e-14)

@@ -23,6 +23,11 @@ class TestParams:
         with pytest.raises(ValueError):
             OrderStatParams(n, k)
 
+    @pytest.mark.parametrize("n,k", [(True, True), (3, True)])
+    def test_bool_rejected(self, n, k):
+        with pytest.raises(TypeError):
+            OrderStatParams(n, k)
+
     def test_valid(self):
         p = OrderStatParams(5, 2)
         assert (p.n, p.k) == (5, 2)

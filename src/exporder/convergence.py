@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import _zn_cdf_array, gumbel_cdf, orderstat_var
+from .distributions import _zn_cdf_array, orderstat_var
 from .exact import _sum_pairs
 from .laplace import OrderStatParams
 from .sampling import SampleBatch

@@ -326,7 +326,7 @@ def _sort_key(report: IdentityReport):
         p.get("n", 0),
         p.get("k", p.get("k_s", 0)),
         p.get("r", 0),
-        Fraction(p.get("s", 0)),
+        p.get("s", 0),
         p.get("index", 0),
     )
 

@@ -7,10 +7,19 @@ The k-th smallest of n i.i.d. unit exponentials has Laplace transform
                           * s / (s + n - m + j)
 
 Both are built here as canonical :class:`RationalFunction` objects, so the
-two constructions can be compared structurally.  On top of them sit the
-j-th derivatives, the alternating derivative sum that gives the probability
-that an independent Erlang variable outlasts the order statistic, and the
-same probability written as a double sum with r-th powers.
+two constructions can be compared structurally, and so are the j-th
+derivatives.  On top of them sit the alternating derivative sum that gives
+the probability that an independent Erlang variable outlasts the order
+statistic, and the same probability written as a double sum with r-th
+powers.  These two are evaluated at a rational point s with exact integer
+and Fraction arithmetic, not as rational functions.  Leibniz on f' = f*g,
+g = -sum_c 1/(s+c), turns u_j = (-s)^j f^(j)(s) / j! into the positive
+recurrence
+
+    u_0 = f(s),   u_{m+1} = 1/(m+1) * sum_{i<=m} u_i * H_{m+1-i},
+    H_q = sum_{c=n-k+1}^{n} (s/(s+c))^q,
+
+and the derivative sum is u_0 + ... + u_{r-1}.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Polynomial, Rational, RationalFunction, Scalar, binomial
+from .exact import Polynomial, Rational, RationalFunction, Scalar, _sum_pairs, binomial
 
 __all__ = [
     "OrderStatParams",
@@ -105,31 +114,47 @@ def erlang_weighted_sum(p: OrderStatParams, r: int, s: Scalar) -> Rational:
 
     This is the probability that an independent Erlang(rate=s, shape=r)
     variable exceeds the k-th order statistic.
+
+    The sum is evaluated at the point s, without building f^(j) as rational
+    functions.  With f = prod_c c/(s+c) over c = n-k+1..n, f' = f*g where
+    g = -sum_c 1/(s+c), so Leibniz gives f^(m+1) = sum_i C(m,i) f^(i) g^(m-i).
+    In the terms u_j = (-s)^j f^(j)(s) / j! this reads
+
+        u_0 = f(s),   u_{m+1} = 1/(m+1) * sum_{i<=m} u_i * H_{m+1-i},
+
+    with H_q = sum_c (s/(s+c))^q, because (-s)^(q+1) g^(q)(s) / q! = H_{q+1}.
+    Every u_j and H_q is positive, so nothing cancels.
     """
     if r < 1:
         raise ValueError(f"Erlang shape must be >= 1, got {r}")
     s = _positive_rational(s)
-    f = product_form(p)
-    total = Fraction(0)
-    sign = 1
-    for j in range(r):
-        total += sign * s**j * f.evaluate(s) / math.factorial(j)
-        sign = -sign
-        if j + 1 < r:
-            f = f.derivative()
-    return total
+    a, b = s.numerator, s.denominator
+    cs = range(p.n - p.k + 1, p.n + 1)
+    u = [Fraction(math.prod(c * b for c in cs), math.prod(a + c * b for c in cs))]
+    h = [Fraction(*_sum_pairs([(a**q, (a + c * b) ** q) for c in cs])) for q in range(1, r)]
+    for m in range(1, r):
+        u.append(sum(u[i] * h[m - 1 - i] for i in range(m)) / m)
+    return sum(u)
 
 
 def generalized_double_sum(p: OrderStatParams, r: int, s: Scalar) -> Rational:
-    """Alternating double sum with r-th powers of s / (s + n - m + j), exact."""
+    """Alternating double sum with r-th powers of s / (s + n - m + j), exact.
+
+    The (m, j) term depends on m and j only through c = n - m + j, so the
+    signed binomial products are first collected into one integer
+    coefficient A_c per c, and the sum of A_c * (s/(s+c))^r over c = 0..n is
+    taken once and normalized once.
+    """
     if r < 1:
         raise ValueError(f"power must be >= 1, got {r}")
     s = _positive_rational(s)
+    a, b = s.numerator, s.denominator
     n, k = p.n, p.k
-    total = Fraction(0)
+    coeff = [0] * (n + 1)
     for m in range(k, n + 1):
         c_nm = binomial(n, m)
         for j in range(m + 1):
-            term = c_nm * binomial(m, j) * (s / (s + n - m + j)) ** r
-            total += -term if j % 2 else term
-    return total
+            term = c_nm * binomial(m, j)
+            coeff[n - m + j] += -term if j % 2 else term
+    ar = a**r
+    return Fraction(*_sum_pairs([(A * ar, (a + c * b) ** r) for c, A in enumerate(coeff) if A]))

@@ -54,6 +54,10 @@ SAMPLER_CODES = {
 _CODE_TO_SAMPLER = {v: k for k, v in SAMPLER_CODES.items()}
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SeededStream:
     """Reproducible random stream identified by (seed, stream_id)."""
@@ -64,7 +68,7 @@ class SeededStream:
     def __post_init__(self):
         for name in ("seed", "stream_id"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and 0 <= v < 2**64):
+            if not (_is_int(v) and 0 <= v < 2**64):
                 raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
 
     def generator(self) -> np.random.Generator:
@@ -104,7 +108,7 @@ class SampleBatch:
 
 
 def _check_count(count: int) -> int:
-    if not (isinstance(count, int) and count >= 1):
+    if not (_is_int(count) and count >= 1):
         raise ValueError(f"replicate count must be an integer >= 1, got {count}")
     return count
 
@@ -172,7 +176,7 @@ def sample_normalized_spacings(
 
 def sample_zn(stream: SeededStream, n: int, count: int) -> SampleBatch:
     """Max of n unit exponentials, shifted by ln n."""
-    if not (isinstance(n, int) and n >= 1):
+    if not (_is_int(n) and n >= 1):
         raise ValueError(f"sample size must be an integer >= 1, got {n}")
     _check_count(count)
     gen = stream.generator()
@@ -223,7 +227,7 @@ def estimate_race(
     reduction is exact and independent of chunk evaluation order.
     """
     _check_count(count)
-    if not (isinstance(chunks, int) and 1 <= chunks <= count):
+    if not (_is_int(chunks) and 1 <= chunks <= count):
         raise ValueError(f"chunks must be an integer in [1, count], got {chunks}")
     base = count // chunks
     sizes = [base + (1 if c < count % chunks else 0) for c in range(chunks)]

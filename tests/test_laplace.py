@@ -1,10 +1,13 @@
 """Both transform constructions, their derivatives, and the weighted sums."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exporder.exact import Polynomial, RationalFunction
+from exporder.exact import Polynomial, RationalFunction, binomial
 from exporder.laplace import (
     OrderStatParams,
     double_sum_form,
@@ -15,6 +18,8 @@ from exporder.laplace import (
 )
 
 F = Fraction
+
+ORACLE_GRID = [F(1, 100), F(1, 3), F(1), F(13, 7), F(5)]
 
 
 class TestParams:
@@ -60,8 +65,6 @@ class TestDoubleSumForm:
 
     def test_brute_force_six_terms(self):
         """n=2, k=1 at s=1 against a from-scratch accumulation of all terms."""
-        from exporder.exact import binomial
-
         total = F(0)
         s = F(1)
         for m in range(1, 3):
@@ -151,6 +154,32 @@ class TestErlangWeightedSum:
         with pytest.raises(ValueError):
             erlang_weighted_sum(OrderStatParams(2, 1), 1, F(0))
 
+    def test_matches_quotient_rule_oracle(self):
+        """The recurrence against sum_j (-s)^j f^(j)(s) / j! from built derivatives."""
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                p = OrderStatParams(n, k)
+                derivs = [laplace_derivative(p, j) for j in range(6)]
+                for s in ORACLE_GRID:
+                    oracle = F(0)
+                    for r in range(1, 7):
+                        j = r - 1
+                        oracle += (-s) ** j * derivs[j].evaluate(s) / math.factorial(j)
+                        assert erlang_weighted_sum(p, r, s) == oracle, (n, k, r, s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nk=st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        num=st.integers(1, 10**6),
+        den=st.integers(1, 10**6),
+    )
+    def test_probability_increasing_in_shape(self, nk, num, den):
+        """P(Erlang(r, s) > X_(k)) lies in (0, 1) and grows with the shape r."""
+        p, s = OrderStatParams(*nk), F(num, den)
+        values = [erlang_weighted_sum(p, r, s) for r in range(1, 7)]
+        assert all(0 < v < 1 for v in values)
+        assert all(a < b for a, b in zip(values, values[1:]))
+
 
 class TestGeneralizedDoubleSum:
     def test_two_term_hand_computation(self):
@@ -173,6 +202,19 @@ class TestGeneralizedDoubleSum:
                 for r in (1, 2, 3, 4):
                     for s in grid:
                         assert generalized_double_sum(p, r, s) == erlang_weighted_sum(p, r, s)
+
+    def test_matches_term_by_term_loop(self):
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                p = OrderStatParams(n, k)
+                for r in range(1, 7):
+                    for s in ORACLE_GRID:
+                        total = F(0)
+                        for m in range(k, n + 1):
+                            for j in range(m + 1):
+                                term = binomial(n, m) * binomial(m, j) * (s / (s + n - m + j)) ** r
+                                total += -term if j % 2 else term
+                        assert generalized_double_sum(p, r, s) == total, (n, k, r, s)
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):

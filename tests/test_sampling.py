@@ -56,6 +56,10 @@ class TestSeededStream:
             SeededStream(-1)
         with pytest.raises(ValueError):
             SeededStream(0, 2**64)
+        with pytest.raises(ValueError):
+            SeededStream(True)
+        with pytest.raises(ValueError):
+            SeededStream(1, True)
 
 
 class TestGoldenValues:
@@ -92,6 +96,8 @@ class TestExponentialSampler:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             sample_exponential(SeededStream(1), 0)
+        with pytest.raises(ValueError):
+            sample_exponential(SeededStream(1), True)
 
 
 class TestOrderStatSamplers:
@@ -155,6 +161,12 @@ class TestZnSampler:
         batch = sample_zn(SeededStream(5, 3), n, count)
         band = 4 * (math.pi / math.sqrt(6)) / math.sqrt(count) + 0.001
         assert abs(batch.mean() - target) < band
+
+    def test_bad_n_rejected(self):
+        with pytest.raises(ValueError):
+            sample_zn(SeededStream(1), 0, 10)
+        with pytest.raises(ValueError):
+            sample_zn(SeededStream(1), True, 10)
 
     def test_chunked_draws_match_single_pass(self):
         """Chunking is an implementation detail: the stream order is fixed."""
@@ -226,6 +238,8 @@ class TestRace:
     def test_chunks_validated(self):
         with pytest.raises(ValueError):
             estimate_race(SeededStream(1), OrderStatParams(1, 1), GammaParams(1, 1), 10, chunks=11)
+        with pytest.raises(ValueError):
+            estimate_race(SeededStream(1), OrderStatParams(1, 1), GammaParams(1, 1), 10, chunks=True)
 
 
 class TestBatchValidation:

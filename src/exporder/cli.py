@@ -10,10 +10,9 @@ all       verify, simulate, converge with the default verification grids
 
 Exit codes: 0 all checks passed, 1 any mismatch or failed test, 2 usage
 error.  Rationals cross the boundary as exact fraction strings ("7/2");
-json and csv output is byte-identical for identical configurations
-(timings are therefore only shown in pretty mode).  EXPORDER_SEED
-(decimal, checked like --seed) overrides the default seed when --seed is
-not given.
+output is byte-identical for identical configurations in every format,
+and no output mode prints timings.  EXPORDER_SEED (decimal, checked like
+--seed) overrides the default seed when --seed is not given.
 """
 
 from __future__ import annotations
@@ -298,7 +297,7 @@ def _run_converge(config: RunConfig) -> tuple[int, str]:
             header = "" if len(table_targets) == 1 else f"table,{target}\n"
             chunks.append(header + convergence.rows_to_csv(rows))
         elif config.output_format == "json":
-            chunks.append(f'{{"table": "{target}", "rows": {convergence.rows_to_json(rows)}}}\n')
+            chunks.append(f'{{"table": {json.dumps(target)}, "rows": {convergence.rows_to_json(rows)}}}\n')
         else:
             body = "\n".join(
                 f"  n={r.n:>9d} value={r.value:.12f} abs_error={r.abs_error:.3e}" for r in rows

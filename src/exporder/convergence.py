@@ -9,11 +9,16 @@ Euler-Mascheroni constant, and sum 1/j^2 -> pi^2/6 (which is also the
 variance of the largest of n unit exponentials, checked through a second
 code path).  Partial sums are exact big-integer arithmetic up to
 EXACT_SUM_LIMIT terms and Shewchuk-compensated float summation (math.fsum)
-beyond, so every reported value is correctly rounded.
+beyond, so every reported value is correctly rounded.  The float terms
+1/j^p are built by numpy in blocks of _BLOCK (the same IEEE division and
+power as one Python float at a time, so the same floats) and all blocks
+stream into one fsum; blocking keeps the term lists at 2^15 floats rather
+than n.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import _zn_cdf_array, orderstat_var
+from .distributions import _orderstat_var_pair, _zn_cdf_array
 from .exact import _sum_pairs
 from .laplace import OrderStatParams
 from .sampling import SampleBatch
@@ -48,9 +53,10 @@ EULER_GAMMA = 0.5772156649015329
 PI_SQUARED_OVER_6 = 1.6449340668482264
 
 # largest n for which reciprocal-power partial sums are done in exact
-# big-integer arithmetic; beyond this math.fsum carries the (still
-# correctly rounded) load
+# big-integer arithmetic; beyond this one math.fsum over numpy-built blocks
+# of _BLOCK terms carries the (still correctly rounded) load
 EXACT_SUM_LIMIT = 10_000
+_BLOCK = 1 << 15
 
 DEFAULT_ALPHA = 0.001
 
@@ -153,7 +159,11 @@ def _recip_power_sum_value(n: int, power: int) -> float:
     if n <= EXACT_SUM_LIMIT:
         num, den = _sum_pairs([(1, j**power) for j in range(1, n + 1)])
         return num / den
-    return math.fsum(1.0 / float(j) ** power for j in range(1, n + 1))
+    blocks = (
+        (1.0 / np.arange(lo, min(lo + _BLOCK, n + 1), dtype=np.float64) ** power).tolist()
+        for lo in range(1, n + 1, _BLOCK)
+    )
+    return math.fsum(itertools.chain.from_iterable(blocks))
 
 
 def _check_n_list(n_list: Sequence[int]) -> list[int]:
@@ -190,13 +200,16 @@ def variance_convergence_check(n_list: Sequence[int]) -> list[ConvergenceRow]:
 
     Routed through the order-statistic variance formula (sum of
     1/(n-k+j)^2 with k = n), which must reproduce the Basel partial sums bit
-    for bit.  Above EXACT_SUM_LIMIT the exact rational is impractical, so
-    the Basel table's compensated float summation takes over.
+    for bit; its unreduced numerator and denominator go straight to one
+    correctly rounded int division.  Above EXACT_SUM_LIMIT the exact
+    rational is impractical, so the Basel table's compensated float
+    summation takes over.
     """
     rows = []
     for n in _check_n_list(n_list):
         if n <= EXACT_SUM_LIMIT:
-            value = float(orderstat_var(OrderStatParams(n, n)))
+            num, den = _orderstat_var_pair(OrderStatParams(n, n))
+            value = num / den
         else:
             value = _recip_power_sum_value(n, 2)
         rows.append(ConvergenceRow(n, value, PI_SQUARED_OVER_6, abs(value - PI_SQUARED_OVER_6)))

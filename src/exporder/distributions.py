@@ -16,7 +16,7 @@ from numbers import Real
 
 import numpy as np
 
-from .exact import Rational, binomial, sum_fractions
+from .exact import Rational, _sum_pairs, binomial, sum_fractions
 from .laplace import OrderStatParams, erlang_weighted_sum
 
 __all__ = [
@@ -56,30 +56,40 @@ def _check_nonnegative(t: float, name: str = "t") -> float:
 def orderstat_pdf(p: OrderStatParams, t: float) -> float:
     """Density of the k-th smallest of n unit exponentials at t >= 0.
 
-    The beta-function normalizer 1/B(k, n-k+1) = k*C(n, k) is exact before
-    conversion to float; (1 - e^-t)^(k-1) uses expm1 so small t does not
-    cancel catastrophically.
+    Evaluated in log space: the exact normalizer 1/B(k, n-k+1) = k*C(n, k)
+    overflows a float from n ~ 1,030, but its log does not.  w = 1 - e^-t
+    uses expm1 so small t does not cancel catastrophically.
     """
     t = _check_nonnegative(t)
-    norm = p.k * binomial(p.n, p.k)
+    if t == 0.0:
+        return float(p.n) if p.k == 1 else 0.0
     w = -math.expm1(-t)
-    return norm * w ** (p.k - 1) * math.exp(-(p.n - p.k + 1) * t)
+    log_norm = math.log(p.k * binomial(p.n, p.k))
+    return math.exp(log_norm + (p.k - 1) * math.log(w) - (p.n - p.k + 1) * t)
 
 
 def orderstat_cdf(p: OrderStatParams, t: float) -> float:
     """cdf of the k-th smallest of n unit exponentials at t >= 0.
 
-    The binomial-weighted terms are combined with fsum, so the only
-    rounding left is the per-term evaluation (the w^m power costs ~m ulps);
-    the result is monotone to within a few ulps even on the plateau near 1.
+    The binomial terms C(n, m) w^m e^-(n-m)t, m = k..n, are each a
+    probability, evaluated as exp of their log (C(n, m) itself overflows a
+    float from n ~ 1,030) and combined with fsum.  C(n, m) is stepped
+    exactly from C(n, k), one small multiply and divide per term.  The logs
+    are sums of parts as large as ~n, so a term carries ~n ulps of relative
+    rounding; the result is monotone to that precision and clamped to 1.
     """
     t = _check_nonnegative(t)
+    if t == 0.0:
+        return 0.0
     if math.isinf(t):
         return 1.0
-    w = -math.expm1(-t)
-    return math.fsum(
-        binomial(p.n, m) * w**m * math.exp(-(p.n - m) * t) for m in range(p.k, p.n + 1)
-    )
+    log_w = math.log(-math.expm1(-t))
+    terms = []
+    c = binomial(p.n, p.k)
+    for m in range(p.k, p.n + 1):
+        terms.append(math.exp(math.log(c) + m * log_w - (p.n - m) * t))
+        c = c * (p.n - m) // (m + 1)
+    return min(math.fsum(terms), 1.0)
 
 
 def orderstat_mean(p: OrderStatParams) -> Rational:
@@ -89,7 +99,12 @@ def orderstat_mean(p: OrderStatParams) -> Rational:
 
 def orderstat_var(p: OrderStatParams) -> Rational:
     """Exact variance: sum of 1/(n-k+j)^2 for j = 1..k."""
-    return sum_fractions(Fraction(1, (p.n - p.k + j) ** 2) for j in range(1, p.k + 1))
+    return Fraction(*_orderstat_var_pair(p))
+
+
+def _orderstat_var_pair(p: OrderStatParams) -> tuple[int, int]:
+    """orderstat_var as an unreduced (numerator, denominator) pair."""
+    return _sum_pairs([(1, (p.n - p.k + j) ** 2) for j in range(1, p.k + 1)])
 
 
 def erlang_survival(g: GammaParams, x: float) -> float:

@@ -2,7 +2,9 @@
 
 import json
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import kolmogorov
@@ -13,7 +15,9 @@ from exporder.convergence import (
     PI_SQUARED_OVER_6,
     ConvergenceRow,
     TestResult as ResultRecord,
+    _BLOCK,
     _kolmogorov_pvalue,
+    _recip_power_sum_value,
     basel_table,
     euler_gamma_table,
     gumbel_approx_error,
@@ -101,6 +105,37 @@ class TestKsTwoSample:
         assert result.statistic == 0.0
         assert result.threshold_or_pvalue == 1.0
         assert result.passed
+
+
+class TestReciprocalPowerSums:
+    """The float path above EXACT_SUM_LIMIT: numpy-built blocks into one fsum."""
+
+    @staticmethod
+    def one_term_at_a_time(n, power):
+        return math.fsum(1.0 / float(j) ** power for j in range(1, n + 1))
+
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("n", [EXACT_SUM_LIMIT + 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    def test_bit_identical_to_scalar_terms(self, n, power):
+        assert _recip_power_sum_value(n, power) == self.one_term_at_a_time(n, power)
+
+    @pytest.mark.parametrize("n", [10_001, 10**5, 10**6])
+    def test_correctly_rounded_against_mpmath(self, n):
+        with mpmath.workdps(50):
+            harmonic = float(mpmath.harmonic(n))
+            basel = float(mpmath.zeta(2) - mpmath.zeta(2, n + 1))
+        assert _recip_power_sum_value(n, 1) == harmonic
+        assert _recip_power_sum_value(n, 2) == basel
+
+    def test_memory_bounded_by_block(self):
+        """A million terms never sit in memory at once (an unblocked list is ~38 MiB)."""
+        tracemalloc.start()
+        try:
+            _recip_power_sum_value(10**6, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestEulerGammaTable:

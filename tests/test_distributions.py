@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaincc
+from scipy.stats import beta
 
 from exporder.distributions import (
     GammaParams,
@@ -81,6 +84,41 @@ class TestCdf:
         for t in np.linspace(0.1, 9.9, 99):
             fd = (orderstat_cdf(p, t + h) - orderstat_cdf(p, t - h)) / (2 * h)
             assert abs(fd - orderstat_pdf(p, t)) < 1e-6
+
+
+class TestLargeSampleSizes:
+    """n past ~1,030, where C(n, k) no longer fits in a float."""
+
+    @pytest.mark.parametrize("n,k", [(1100, 550), (2000, 1000), (20000, 10000)])
+    @pytest.mark.parametrize("t", [0.66, 0.7, 0.72])
+    def test_matches_scipy_beta(self, n, k, t):
+        # X_(k) <= t exactly when Beta(k, n-k+1) <= w = 1 - e^-t
+        p = OrderStatParams(n, k)
+        w = -math.expm1(-t)
+        assert orderstat_cdf(p, t) == pytest.approx(beta.cdf(w, k, n - k + 1), rel=1e-11)
+        assert orderstat_pdf(p, t) == pytest.approx(
+            beta.pdf(w, k, n - k + 1) * math.exp(-t), rel=1e-11
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        data=st.data(),
+        t=st.floats(0.0, 50.0),
+        gap=st.floats(0.0, 1.0),
+    )
+    def test_cdf_bounded_and_monotone(self, n, data, t, gap):
+        p = OrderStatParams(n, data.draw(st.integers(1, n)))
+        lo, hi = orderstat_cdf(p, t), orderstat_cdf(p, t + gap)
+        assert 0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0
+        # each term carries ~n ulps of rounding (2e-13 measured at n = 5,000)
+        assert lo <= hi * (1.0 + 1e-11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3000), data=st.data(), t=st.floats(0.0, allow_nan=False))
+    def test_pdf_nonnegative_and_finite(self, n, data, t):
+        value = orderstat_pdf(OrderStatParams(n, data.draw(st.integers(1, n))), t)
+        assert value >= 0.0 and math.isfinite(value)
 
 
 class TestMoments:

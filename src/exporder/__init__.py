@@ -13,7 +13,6 @@ from .laplace import (
     double_sum_form,
     erlang_weighted_sum,
     generalized_double_sum,
-    laplace_derivative,
     product_form,
 )
 from .identities import (

@@ -189,7 +189,15 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
             ns.seed = _unsigned_int(env)
         except argparse.ArgumentTypeError as exc:
             parser.error(f"{SEED_ENV_VAR}: {exc}")
-    return _config(ns)
+    config = _config(ns)
+    if config.command == "race":
+        if config.race_k > config.race_n:
+            parser.error(f"--k must be <= --n, got k={config.race_k}, n={config.race_n}")
+        if config.chunks > config.replicates:
+            parser.error(
+                f"--chunks must be <= --replicates, got {config.chunks} > {config.replicates}"
+            )
+    return config
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -204,7 +212,7 @@ def _run_verify(config: RunConfig) -> tuple[int, str]:
     reports = identities.run_suite(config.max_n, config.max_r, config.s_grid)
     mismatches = [r for r in reports if not r.matched]
     if config.output_format == "json":
-        text = identities.reports_to_json_lines(reports, include_elapsed=False)
+        text = identities.reports_to_json_lines(reports)
     else:
         lines = [f"identity sweep: {len(reports)} checks, {len(mismatches)} mismatches"]
         for r in mismatches:

@@ -231,10 +231,11 @@ def tail_bound_audit(
     is produced by subtractions of numbers near 1).
     """
     ns = [int(n) for n in n_list]
-    if any(n < 1 for n in ns):
-        raise ValueError("audit sample sizes must be >= 1")
+    if not ns or any(n < 1 for n in ns):
+        raise ValueError("audit needs at least one sample size, all >= 1")
     xs = np.asarray(list(x_grid), dtype=np.float64)
-    if xs.size == 0 or np.any(xs <= 0):
+    # not all(> 0), so that nan is rejected too
+    if xs.size == 0 or not np.all(xs > 0):
         raise ValueError("audit grid must contain positive x only")
     stacked = np.empty((len(ns), xs.size))
     for i, n in enumerate(ns):

@@ -132,10 +132,17 @@ def race_probability_exact(p: OrderStatParams, g: GammaParams) -> Rational:
     return erlang_weighted_sum(p, g.r, Fraction(g.s))
 
 
+def _check_not_nan(x: float) -> float:
+    x = float(x)
+    if math.isnan(x):
+        raise ValueError("x must not be nan")
+    return x
+
+
 def gumbel_cdf(x: float) -> float:
     """Standard Gumbel cdf exp(-e^-x)."""
     # beyond e^709 the cdf is already 0.0; clamp before math.exp overflows
-    return math.exp(-math.exp(min(-float(x), 709.0)))
+    return math.exp(-math.exp(min(-_check_not_nan(x), 709.0)))
 
 
 def zn_cdf(n: int, x: float) -> float:
@@ -146,7 +153,7 @@ def zn_cdf(n: int, x: float) -> float:
     """
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"sample size must be an integer >= 1, got {n}")
-    return float(_zn_cdf_array(n, np.asarray(float(x))))
+    return float(_zn_cdf_array(n, np.asarray(_check_not_nan(x))))
 
 
 def _zn_cdf_array(n: int, x: np.ndarray) -> np.ndarray:

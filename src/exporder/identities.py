@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .exact import Polynomial, Rational, RationalFunction, binomial
 from .laplace import (
@@ -61,8 +60,8 @@ Side = Union[Rational, RationalFunction, tuple]
 EXACT_MATCH = "exact_match"
 MISMATCH = "mismatch"
 
-# default sweep ceilings; chosen to finish in seconds while pushing every
-# intermediate well past 64-bit integer range
+# sweep ceilings; chosen to finish in seconds while pushing every
+# intermediate well past 64-bit integer range (max_n and max_r are set per run)
 DEFAULT_MAX_N_STRUCTURAL = 12
 DEFAULT_MAX_N_POINTWISE = 30
 DEFAULT_MAX_INTEGER_RATE = 15
@@ -77,6 +76,8 @@ DEFAULT_S_GRID = (
     Fraction(7, 2),
     Fraction(5),
 )
+_INVOLUTION_SEED = 90210
+_INVOLUTION_LENGTHS = (8, 8, 8)
 
 
 @dataclass
@@ -88,22 +89,20 @@ class IdentityReport:
     lhs: Side
     rhs: Side
     verdict: str
-    elapsed: float  # seconds
 
     @property
     def matched(self) -> bool:
         return self.verdict == EXACT_MATCH
 
 
-def _report(identity_id: str, params: dict, lhs: Side, rhs: Side, t0: float) -> IdentityReport:
+def _report(identity_id: str, params: dict, lhs: Side, rhs: Side) -> IdentityReport:
     verdict = EXACT_MATCH if lhs == rhs else MISMATCH
-    return IdentityReport(identity_id, params, lhs, rhs, verdict, time.perf_counter() - t0)
+    return IdentityReport(identity_id, params, lhs, rhs, verdict)
 
 
 def _transform_report(identity_id: str, n: int, k: int) -> IdentityReport:
-    t0 = time.perf_counter()
     p = OrderStatParams(n, k)
-    return _report(identity_id, {"n": n, "k": k}, double_sum_form(p), product_form(p), t0)
+    return _report(identity_id, {"n": n, "k": k}, double_sum_form(p), product_form(p))
 
 
 def verify_main(n: int, k: int) -> IdentityReport:
@@ -113,10 +112,9 @@ def verify_main(n: int, k: int) -> IdentityReport:
 
 def verify_min_order(n: int) -> IdentityReport:
     """k=1 double sum vs the minimum's transform n/(s+n), structurally."""
-    t0 = time.perf_counter()
     lhs = double_sum_form(OrderStatParams(n, 1))
     rhs = RationalFunction(Polynomial((n,)), Polynomial((n, 1)))
-    return _report("double_sum_min_order", {"n": n, "k": 1}, lhs, rhs, t0)
+    return _report("double_sum_min_order", {"n": n, "k": 1}, lhs, rhs)
 
 
 def verify_max_order(n: int) -> IdentityReport:
@@ -126,7 +124,6 @@ def verify_max_order(n: int) -> IdentityReport:
 
 def verify_max_order_value(n: int, s: Rational) -> IdentityReport:
     """k=n identity at one rational point: alternating single sum vs product value."""
-    t0 = time.perf_counter()
     s = Fraction(s)
     lhs = Fraction(0)
     for j in range(n + 1):
@@ -135,12 +132,11 @@ def verify_max_order_value(n: int, s: Rational) -> IdentityReport:
     rhs = Fraction(1)
     for j in range(1, n + 1):
         rhs *= Fraction(j) / (s + j)
-    return _report("double_sum_max_order", {"n": n, "k": n, "s": s}, lhs, rhs, t0)
+    return _report("double_sum_max_order", {"n": n, "k": n, "s": s}, lhs, rhs)
 
 
 def verify_integer_rate(n: int, k_s: int) -> IdentityReport:
     """Alternating sum at integer rate k_s vs the reciprocal binomial 1/C(n+k_s, k_s)."""
-    t0 = time.perf_counter()
     if n < 1 or k_s < 1:
         raise ValueError(f"n and k_s must be >= 1, got n={n}, k_s={k_s}")
     lhs = Fraction(0)
@@ -148,12 +144,11 @@ def verify_integer_rate(n: int, k_s: int) -> IdentityReport:
         term = Fraction(binomial(n, j) * k_s, k_s + j)
         lhs += -term if j % 2 else term
     rhs = Fraction(1, binomial(n + k_s, k_s))
-    return _report("integer_rate_reciprocal_binomial", {"n": n, "k_s": k_s}, lhs, rhs, t0)
+    return _report("integer_rate_reciprocal_binomial", {"n": n, "k_s": k_s}, lhs, rhs)
 
 
 def verify_nested(n: int, k: int, s: Rational) -> IdentityReport:
     """Single sum of binomial-weighted products vs the product form, at one s."""
-    t0 = time.perf_counter()
     p = OrderStatParams(n, k)
     s = Fraction(s)
     if s <= 0:
@@ -165,38 +160,35 @@ def verify_nested(n: int, k: int, s: Rational) -> IdentityReport:
             term *= Fraction(i) / (s + n - m + i)
         lhs += term
     rhs = product_form(p).evaluate(s)
-    return _report("nested_product_sum", {"n": n, "k": k, "s": s}, lhs, rhs, t0)
+    return _report("nested_product_sum", {"n": n, "k": k, "s": s}, lhs, rhs)
 
 
 def verify_generalized(n: int, k: int, r: int, s: Rational) -> IdentityReport:
     """r-th-power double sum vs the alternating derivative sum, exactly."""
-    t0 = time.perf_counter()
     p = OrderStatParams(n, k)
     lhs = generalized_double_sum(p, r, s)
     rhs = erlang_weighted_sum(p, r, s)
     return _report(
-        "power_sum_vs_derivative_sum", {"n": n, "k": k, "r": r, "s": Fraction(s)}, lhs, rhs, t0
+        "power_sum_vs_derivative_sum", {"n": n, "k": k, "r": r, "s": Fraction(s)}, lhs, rhs
     )
 
 
 def verify_square_closed_form(n: int, k: int, s: Rational) -> IdentityReport:
     """r=2 derivative sum vs its closed form product * (1 + sum s/(s+j))."""
-    t0 = time.perf_counter()
     p = OrderStatParams(n, k)
     s = Fraction(s)
     lhs = erlang_weighted_sum(p, 2, s)
     bracket = 1 + sum(s / (s + j) for j in range(n - k + 1, n + 1))
     rhs = product_form(p).evaluate(s) * bracket
-    return _report("square_power_closed_form", {"n": n, "k": k, "r": 2, "s": s}, lhs, rhs, t0)
+    return _report("square_power_closed_form", {"n": n, "k": k, "r": 2, "s": s}, lhs, rhs)
 
 
 def verify_square_min_order(n: int, s: Rational) -> IdentityReport:
     """r=2, k=1 double sum vs the closed form n(n+2s)/(s+n)^2."""
-    t0 = time.perf_counter()
     s = Fraction(s)
     lhs = generalized_double_sum(OrderStatParams(n, 1), 2, s)
     rhs = Fraction(n) * (n + 2 * s) / (s + n) ** 2
-    return _report("square_power_min_order", {"n": n, "k": 1, "r": 2, "s": s}, lhs, rhs, t0)
+    return _report("square_power_min_order", {"n": n, "k": 1, "r": 2, "s": s}, lhs, rhs)
 
 
 def binomial_invert(a: Sequence[Rational]) -> tuple:
@@ -216,107 +208,83 @@ def binomial_invert(a: Sequence[Rational]) -> tuple:
 
 def verify_inversion_involution(a: Sequence[Rational], index: int = 0) -> IdentityReport:
     """Applying the alternating binomial transform twice returns the input."""
-    t0 = time.perf_counter()
     original = tuple(Fraction(x) for x in a)
     lhs = binomial_invert(binomial_invert(original))
-    return _report(
-        "inversion_involution", {"length": len(original), "index": index}, lhs, original, t0
-    )
+    return _report("inversion_involution", {"length": len(original), "index": index}, lhs, original)
 
 
-def _error_report(identity_id: str, params: dict, exc: Exception, t0: float) -> IdentityReport:
-    params = dict(params)
-    params["error"] = f"{type(exc).__name__}: {exc}"
-    zero = Fraction(0)
-    return IdentityReport(identity_id, params, zero, zero, MISMATCH, time.perf_counter() - t0)
-
-
-def _run_case(fn: Callable[[], IdentityReport], identity_id: str, params: dict) -> IdentityReport:
-    # errors become mismatch reports so one bad cell cannot abort a sweep
-    t0 = time.perf_counter()
+def _run_case(check: Callable, identity_id: str, params: dict, *args) -> IdentityReport:
+    # check(*args), or check(**params) when no args are given; an error
+    # becomes a mismatch report so one bad cell cannot abort a sweep
     try:
-        return fn()
+        return check(*args) if args else check(**params)
     except Exception as exc:  # noqa: BLE001 - deliberate aggregation
-        return _error_report(identity_id, params, exc, t0)
+        params = {**params, "error": f"{type(exc).__name__}: {exc}"}
+        return IdentityReport(identity_id, params, Fraction(0), Fraction(0), MISMATCH)
+
+
+def _cases(max_n: int, max_r: int, s_grid: tuple) -> Iterator[tuple]:
+    # (checker, identity id, params[, args]) per grid cell; the verify_* module
+    # globals are read at each yield, so a rebound checker (a test's injected
+    # fault, a tracer) is the one run
+    for n in range(1, max_n + 1):
+        for k in range(1, n + 1):
+            yield verify_main, "product_vs_double_sum", {"n": n, "k": k}
+        yield verify_min_order, "double_sum_min_order", {"n": n}
+        yield verify_max_order, "double_sum_max_order", {"n": n}
+
+    for n in range(1, DEFAULT_MAX_N_POINTWISE + 1):
+        for s in s_grid:
+            yield verify_max_order_value, "double_sum_max_order", {"n": n, "s": s}
+
+    for n in range(1, DEFAULT_MAX_INTEGER_RATE + 1):
+        for k_s in range(1, DEFAULT_MAX_INTEGER_RATE + 1):
+            yield verify_integer_rate, "integer_rate_reciprocal_binomial", {"n": n, "k_s": k_s}
+
+    for n in range(1, DEFAULT_MAX_N_NESTED + 1):
+        for k in range(1, n + 1):
+            for s in s_grid:
+                yield verify_nested, "nested_product_sum", {"n": n, "k": k, "s": s}
+
+    for n in range(1, DEFAULT_MAX_N_POWER + 1):
+        for k in range(1, n + 1):
+            for r in range(1, max_r + 1):
+                for s in s_grid:
+                    params = {"n": n, "k": k, "r": r, "s": s}
+                    yield verify_generalized, "power_sum_vs_derivative_sum", params
+            if max_r >= 2:
+                for s in s_grid:
+                    params = {"n": n, "k": k, "s": s}
+                    yield verify_square_closed_form, "square_power_closed_form", params
+
+    if max_r >= 2:
+        for n in range(1, DEFAULT_MAX_N_SQUARE_MIN + 1):
+            for s in s_grid:
+                yield verify_square_min_order, "square_power_min_order", {"n": n, "s": s}
+
+    rng = random.Random(_INVOLUTION_SEED)
+    for idx, length in enumerate(_INVOLUTION_LENGTHS):
+        seq = tuple(
+            Fraction(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(length)
+        )
+        params = {"length": length, "index": idx}
+        yield verify_inversion_involution, "inversion_involution", params, seq, idx
 
 
 def run_suite(
-    max_n: int,
-    max_r: int,
-    s_grid: Sequence[Rational] = DEFAULT_S_GRID,
-    *,
-    max_n_pointwise: int = DEFAULT_MAX_N_POINTWISE,
-    max_integer_rate: int = DEFAULT_MAX_INTEGER_RATE,
-    max_n_nested: int = DEFAULT_MAX_N_NESTED,
-    max_n_power: int = DEFAULT_MAX_N_POWER,
-    max_n_square_min: int = DEFAULT_MAX_N_SQUARE_MIN,
-    involution_lengths: Sequence[int] = (8, 8, 8),
-    involution_seed: int = 90210,
+    max_n: int, max_r: int, s_grid: Sequence[Rational] = DEFAULT_S_GRID
 ) -> list[IdentityReport]:
-    """Run every identity checker over its grid; deterministic report order.
+    """Run every identity checker over the verification grid; deterministic order.
 
-    max_n bounds the structural sweeps, max_r the power identities, s_grid
-    the pointwise ones.  The remaining ceilings default to the documented
-    verification grid and can be lowered for quick runs.
+    max_n bounds the structural sweeps, max_r the power identities, and
+    s_grid holds the points of every pointwise family.  The other sweeps run
+    to the fixed DEFAULT_MAX_* ceilings.  Reports sort by identity id, then
+    n, k (or k_s), r, s and index.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     s_grid = tuple(Fraction(s) for s in s_grid)
-    reports: list[IdentityReport] = []
-
-    # callers pass the verify_* module globals as read at each call, so a
-    # rebound checker (a test's injected fault, a tracer) is the one run
-    def case(fn: Callable[..., IdentityReport], identity_id: str, **params) -> None:
-        reports.append(_run_case(lambda: fn(**params), identity_id, params))
-
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            case(verify_main, "product_vs_double_sum", n=n, k=k)
-        case(verify_min_order, "double_sum_min_order", n=n)
-        case(verify_max_order, "double_sum_max_order", n=n)
-
-    for n in range(1, max_n_pointwise + 1):
-        for s in s_grid:
-            case(verify_max_order_value, "double_sum_max_order", n=n, s=s)
-
-    for n in range(1, max_integer_rate + 1):
-        for k_s in range(1, max_integer_rate + 1):
-            case(verify_integer_rate, "integer_rate_reciprocal_binomial", n=n, k_s=k_s)
-
-    for n in range(1, max_n_nested + 1):
-        for k in range(1, n + 1):
-            for s in s_grid:
-                case(verify_nested, "nested_product_sum", n=n, k=k, s=s)
-
-    for n in range(1, max_n_power + 1):
-        for k in range(1, n + 1):
-            for r in range(1, max_r + 1):
-                for s in s_grid:
-                    case(verify_generalized, "power_sum_vs_derivative_sum", n=n, k=k, r=r, s=s)
-            if max_r >= 2:
-                for s in s_grid:
-                    case(verify_square_closed_form, "square_power_closed_form", n=n, k=k, s=s)
-
-    if max_r >= 2:
-        for n in range(1, max_n_square_min + 1):
-            for s in s_grid:
-                case(verify_square_min_order, "square_power_min_order", n=n, s=s)
-
-    rng = random.Random(involution_seed)
-    for idx, length in enumerate(involution_lengths):
-        seq = tuple(
-            Fraction(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(length)
-        )
-        reports.append(
-            _run_case(
-                lambda seq=seq, idx=idx: verify_inversion_involution(seq, idx),
-                "inversion_involution",
-                {"length": length, "index": idx},
-            )
-        )
-
-    reports.sort(key=_sort_key)
-    return reports
+    return sorted((_run_case(*case) for case in _cases(max_n, max_r, s_grid)), key=_sort_key)
 
 
 def _sort_key(report: IdentityReport):
@@ -339,7 +307,7 @@ def _serialize_side(side: Side):
     return str(side)
 
 
-def report_to_json(report: IdentityReport, include_elapsed: bool = True) -> str:
+def report_to_json(report: IdentityReport) -> str:
     """One report as a JSON object (one line); fractions as exact strings."""
     payload = {
         "identity_id": report.identity_id,
@@ -348,10 +316,8 @@ def report_to_json(report: IdentityReport, include_elapsed: bool = True) -> str:
         "rhs": _serialize_side(report.rhs),
         "verdict": report.verdict,
     }
-    if include_elapsed:
-        payload["elapsed_us"] = int(report.elapsed * 1e6)
     return json.dumps(payload, sort_keys=True)
 
 
-def reports_to_json_lines(reports: Sequence[IdentityReport], include_elapsed: bool = True) -> str:
-    return "\n".join(report_to_json(r, include_elapsed) for r in reports) + "\n"
+def reports_to_json_lines(reports: Sequence[IdentityReport]) -> str:
+    return "\n".join(report_to_json(r) for r in reports) + "\n"

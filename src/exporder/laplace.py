@@ -7,12 +7,12 @@ The k-th smallest of n i.i.d. unit exponentials has Laplace transform
                           * s / (s + n - m + j)
 
 Both are built here as canonical :class:`RationalFunction` objects, so the
-two constructions can be compared structurally, and so are the j-th
-derivatives.  On top of them sit the alternating derivative sum that gives
-the probability that an independent Erlang variable outlasts the order
-statistic, and the same probability written as a double sum with r-th
-powers.  These two are evaluated at a rational point s with exact integer
-and Fraction arithmetic, not as rational functions.  Leibniz on f' = f*g,
+two constructions can be compared structurally.  On top of them sit the
+alternating derivative sum that gives the probability that an independent
+Erlang variable outlasts the order statistic, and the same probability
+written as a double sum with r-th powers.  These two are evaluated at a
+rational point s with exact integer and Fraction arithmetic, not as
+rational functions; no derivative is ever built.  Leibniz on f' = f*g,
 g = -sum_c 1/(s+c), turns u_j = (-s)^j f^(j)(s) / j! into the positive
 recurrence
 
@@ -34,7 +34,6 @@ __all__ = [
     "OrderStatParams",
     "product_form",
     "double_sum_form",
-    "laplace_derivative",
     "erlang_weighted_sum",
     "generalized_double_sum",
 ]
@@ -90,16 +89,6 @@ def double_sum_form(p: OrderStatParams) -> RationalFunction:
                 coeff = -coeff
             numer = numer + (cofactor[n - m + j] * coeff).shift()
     return RationalFunction(numer, shared)
-
-
-def laplace_derivative(p: OrderStatParams, j: int) -> RationalFunction:
-    """j-th derivative of the product form; j = 0 returns the transform itself."""
-    if j < 0:
-        raise ValueError(f"derivative order must be >= 0, got {j}")
-    f = product_form(p)
-    for _ in range(j):
-        f = f.derivative()
-    return f
 
 
 def _positive_rational(s: Scalar) -> Fraction:

@@ -74,6 +74,25 @@ class TestParsing:
             parse(["converge", "--n", "20000,10"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["race", "--n", "3", "--k", "5"],
+            ["race", "--k", "4"],
+            ["race", "--replicates", "10", "--chunks", "20"],
+            ["race", "--chunks", "1000001"],
+        ],
+    )
+    def test_impossible_race_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        assert "must be <=" in capsys.readouterr().err
+
+    def test_race_bounds_are_inclusive(self):
+        config = parse(["race", "--n", "4", "--k", "4", "--replicates", "20", "--chunks", "20"])
+        assert (config.race_k, config.chunks) == (4, 20)
+
 
 def run_cli(argv, capsys):
     code = cli.run(cli.parse_args(argv))
@@ -108,7 +127,6 @@ class TestVerifyCommand:
             RationalFunction(Polynomial((1,)), Polynomial((1, 1))),
             RationalFunction(Polynomial((2,)), Polynomial((1, 1))),
             "mismatch",
-            0.0,
         )
         monkeypatch.setattr(identities, "verify_main", lambda n, k: broken)
         code, out = run_cli(self.ARGS, capsys)
@@ -206,6 +224,13 @@ class TestBehaviourAnchors:
         assert self.anchor(data) == ("59ba988b747208de", 620_727)
         # all starts with the output of verify at its defaults
         assert self.anchor(data[: self.VERIFY_JSON[1]]) == self.VERIFY_JSON
+
+    def test_all_pretty(self, capsys, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        code, out = run_cli(["all"], capsys)
+        assert code == 0
+        assert self.anchor(out.encode()) == ("5ada1533eab2d126", 3_955)
+        assert out.startswith("identity sweep: 1878 checks, 0 mismatches\n")
 
     def test_converge_tables_csv(self, capsys):
         code, out = run_cli(

@@ -223,6 +223,14 @@ class TestTailBoundAudit:
         with pytest.raises(ValueError):
             tail_bound_audit([1, 2], [0.0])
 
+    def test_nan_x_rejected(self):
+        with pytest.raises(ValueError, match="positive x"):
+            tail_bound_audit([10], [math.nan])
+
+    def test_empty_n_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample size"):
+            tail_bound_audit([], [0.5])
+
 
 class TestGumbelApproxError:
     def test_envelope_budget(self):

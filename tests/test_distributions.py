@@ -190,6 +190,29 @@ class TestErlangSurvival:
     def test_matches_scipy(self, s, r, x):
         assert erlang_survival(GammaParams(s, r), x) == pytest.approx(gammaincc(r, s * x), rel=1e-10)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        s=st.floats(1e-3, 1e3),
+        r=st.integers(1, 2000),
+        x=st.floats(1e-4, 1e4),
+        gap=st.floats(0.0, 1e4),
+    )
+    def test_bounded_and_nonincreasing(self, s, r, x, gap):
+        g = GammaParams(s, r)
+        near, far = erlang_survival(g, x), erlang_survival(g, x + gap)
+        assert 0.0 <= near <= 1.0 and 0.0 <= far <= 1.0
+        # a value carries up to ~3e-12 relative rounding (its log-space terms
+        # add parts as large as s*x), so it is monotone to that precision;
+        # e.g. s=1, r=26 gives 1 - 2^-53 at x=1.75 and 1.0 at x=2.75
+        assert far <= near * (1.0 + 1e-11)
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.floats(1e-3, 1e3), r=st.integers(1, 2000), x=st.floats(1e-4, 1e4))
+    def test_matches_scipy_over_wide_range(self, s, r, x):
+        expected = gammaincc(r, s * x)
+        if expected > 1e-280:
+            assert erlang_survival(GammaParams(s, r), x) == pytest.approx(expected, rel=1e-10)
+
     def test_bad_params(self):
         with pytest.raises(ValueError):
             GammaParams(0, 1)
@@ -239,6 +262,10 @@ class TestGumbel:
     def test_median_inversion(self):
         assert gumbel_cdf(-math.log(math.log(2))) == pytest.approx(0.5, rel=1e-14)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            gumbel_cdf(math.nan)
+
 
 class TestZnCdf:
     def test_support_boundary_n1(self):
@@ -263,3 +290,7 @@ class TestZnCdf:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             zn_cdf(0, 1.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            zn_cdf(3, math.nan)

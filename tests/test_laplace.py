@@ -13,7 +13,6 @@ from exporder.laplace import (
     double_sum_form,
     erlang_weighted_sum,
     generalized_double_sum,
-    laplace_derivative,
     product_form,
 )
 
@@ -95,22 +94,20 @@ class TestDoubleSumForm:
 
 
 class TestLaplaceDerivative:
+    """Derivatives of the product form, built with RationalFunction.derivative."""
+
     def test_first_derivative_structural(self):
-        assert laplace_derivative(OrderStatParams(1, 1), 1) == RationalFunction(
+        assert product_form(OrderStatParams(1, 1)).derivative() == RationalFunction(
             Polynomial((-1,)), Polynomial((1, 2, 1))
         )
 
     def test_first_derivative_value(self):
-        assert laplace_derivative(OrderStatParams(1, 1), 1).evaluate(F(1)) == F(-1, 4)
-
-    def test_j_zero_is_transform(self):
-        p = OrderStatParams(4, 2)
-        assert laplace_derivative(p, 0) == product_form(p)
+        assert product_form(OrderStatParams(1, 1)).derivative().evaluate(F(1)) == F(-1, 4)
 
     def test_logarithmic_derivative_oracle(self):
         """f' = -f * sum 1/(s+j): check the value at s=1 and the full structure."""
         p = OrderStatParams(3, 2)
-        d1 = laplace_derivative(p, 1)
+        d1 = product_form(p).derivative()
         assert d1.evaluate(F(1)) == -F(1, 2) * (F(1, 4) + F(1, 3)) == F(-7, 24)
         f = product_form(p)
         log_sum = sum(
@@ -121,10 +118,6 @@ class TestLaplaceDerivative:
             RationalFunction(Polynomial(()), Polynomial((1,))),
         )
         assert d1 == -(f * log_sum)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            laplace_derivative(OrderStatParams(2, 1), -1)
 
 
 class TestErlangWeightedSum:
@@ -159,7 +152,9 @@ class TestErlangWeightedSum:
         for n in range(1, 9):
             for k in range(1, n + 1):
                 p = OrderStatParams(n, k)
-                derivs = [laplace_derivative(p, j) for j in range(6)]
+                derivs = [product_form(p)]
+                for _ in range(5):
+                    derivs.append(derivs[-1].derivative())
                 for s in ORACLE_GRID:
                     oracle = F(0)
                     for r in range(1, 7):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -59,6 +60,9 @@ EXACT_SUM_LIMIT = 10_000
 _BLOCK = 1 << 15
 
 DEFAULT_ALPHA = 0.001
+
+# largest x whose e^x is a finite float (the tail audit's upper limit)
+_TAIL_X_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -137,16 +141,38 @@ def ks_two_sample(
     alpha: float = DEFAULT_ALPHA,
     test_id: str = "ks_two_sample",
 ) -> TestResult:
-    """Two-sample KS test that a and b were drawn from one distribution."""
-    xa = np.sort(a.values)
-    xb = np.sort(b.values)
+    """Two-sample KS test that a and b were drawn from one distribution.
+
+    D is the largest gap between the two empirical cdfs over the pooled
+    points.  Each sample is sorted in its half of one pooled buffer, and one
+    stable argsort merges the two sorted runs; a running count of
+    first-sample points along the merge gives the first cdf's count, and the
+    merge position minus it the second's.  Of each run of equal pooled
+    values only the last index counts: there both counts equal the number of
+    points <= that value, so ties are handled exactly.
+    """
+    na, nb = a.values.size, b.values.size
+    pooled = np.concatenate([a.values, b.values])
+    xa, xb = pooled[:na], pooled[na:]
+    xa.sort()
+    xb.sort()
     _check_not_degenerate(xa, "first sample")
     _check_not_degenerate(xb, "second sample")
-    pooled = np.concatenate([xa, xb])
-    fa = np.searchsorted(xa, pooled, side="right") / xa.size
-    fb = np.searchsorted(xb, pooled, side="right") / xb.size
-    d = float(np.max(np.abs(fa - fb)))
-    n_eff = xa.size * xb.size / (xa.size + xb.size)
+    order = np.argsort(pooled, kind="stable")
+    merged = pooled[order]
+    # in place where possible: each fresh pooled-size array costs page faults
+    ca = (order < na).astype(np.intp)
+    np.cumsum(ca, out=ca)
+    cb = np.arange(1, pooled.size + 1)
+    cb -= ca
+    last = np.empty(pooled.size, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=last[:-1])
+    last[-1] = True
+    gap = ca / na
+    gap -= cb / nb
+    np.abs(gap, out=gap)
+    d = float(np.max(gap, where=last, initial=0.0))
+    n_eff = na * nb / (na + nb)
     p = _kolmogorov_pvalue(n_eff * d * d)
     verdict = "pass" if p > alpha else "fail"
     return TestResult(test_id, d, p, int(round(n_eff)), verdict)
@@ -228,7 +254,9 @@ def tail_bound_audit(
     exp(-e^x), which sinks below float resolution for x beyond ~3.7 (the
     n=1 term equals e^-x exactly), so that comparison carries a rounding
     allowance of one part in 10^12 plus a few ulps of 1.0 (the statistic
-    is produced by subtractions of numbers near 1).
+    is produced by subtractions of numbers near 1).  x above ln of the
+    largest float (~709.78) is rejected: e^x overflows there, and the
+    bound 2 e^-x is too close to 0 for the comparison to mean anything.
     """
     ns = [int(n) for n in n_list]
     if not ns or any(n < 1 for n in ns):
@@ -237,6 +265,11 @@ def tail_bound_audit(
     # not all(> 0), so that nan is rejected too
     if xs.size == 0 or not np.all(xs > 0):
         raise ValueError("audit grid must contain positive x only")
+    if np.any(xs > _TAIL_X_MAX):
+        raise ValueError(
+            f"audit grid x must be <= {_TAIL_X_MAX!r} (ln of the largest float), "
+            f"got {float(xs.max())!r}"
+        )
     stacked = np.empty((len(ns), xs.size))
     for i, n in enumerate(ns):
         stacked[i] = _zn_cdf_array(n, -xs) + 1.0 - _zn_cdf_array(n, xs)

@@ -151,7 +151,7 @@ def zn_cdf(n: int, x: float) -> float:
     Zero for x < -ln n (the formula's base would go negative there); the
     power is taken as exp(n*log1p(.)) for accuracy at large n.
     """
-    if not (isinstance(n, int) and n >= 1):
+    if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
         raise ValueError(f"sample size must be an integer >= 1, got {n}")
     return float(_zn_cdf_array(n, np.asarray(_check_not_nan(x))))
 

@@ -3,7 +3,10 @@
 All randomness comes from one place: a numpy PCG64 bit generator keyed by
 ``SeedSequence(seed, spawn_key=(stream_id,))``, and every variate is derived
 from ``Generator.random()`` uniforms by explicit inverse transforms
-(exponentials as -log1p(-U)).  PCG64 and the uniform conversion are frozen,
+(exponentials as -log1p(-U), each step applied in place on the uniform
+block, so a block of draws takes one buffer).  Sorting is in place too, and
+only the needed column of a sorted block is kept, as a copy, so blocks are
+freed as soon as they are used.  PCG64 and the uniform conversion are frozen,
 widely specified algorithms, so identical (seed, stream_id) reproduces the
 same sequence across runs and platforms; golden values in the test suite
 pin this down.  If the generator is ever swapped, regenerate the goldens.
@@ -115,7 +118,11 @@ def _check_count(count: int) -> int:
 
 def _exponentials(gen: np.random.Generator, shape) -> np.ndarray:
     # inverse transform of uniforms on [0, 1); log1p keeps small draws exact
-    return -np.log1p(-gen.random(shape))
+    u = gen.random(shape)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    return u
 
 
 def _row_chunks(count: int, n: int):
@@ -126,9 +133,15 @@ def _row_chunks(count: int, n: int):
         start += rows
 
 
+def _sorted_block(gen: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    block = _exponentials(gen, (rows, n))
+    block.sort(axis=1)
+    return block
+
+
 def _sorted_sample_chunks(gen: np.random.Generator, n: int, count: int):
     for rows in _row_chunks(count, n):
-        yield np.sort(_exponentials(gen, (rows, n)), axis=1)
+        yield _sorted_block(gen, rows, n)
 
 
 def sample_exponential(stream: SeededStream, count: int) -> SampleBatch:
@@ -142,7 +155,8 @@ def sample_orderstat_direct(stream: SeededStream, p: OrderStatParams, count: int
     """k-th smallest of n unit exponentials, one sorted sample per replicate."""
     _check_count(count)
     gen = stream.generator()
-    parts = [block[:, p.k - 1] for block in _sorted_sample_chunks(gen, p.n, count)]
+    # copies, so each block is freed as the next one is drawn
+    parts = [block[:, p.k - 1].copy() for block in _sorted_sample_chunks(gen, p.n, count)]
     return SampleBatch(np.concatenate(parts), p.n, p.k, "direct_sort", stream)
 
 
@@ -156,7 +170,8 @@ def sample_orderstat_representation(
     parts = []
     for rows in _row_chunks(count, p.k):
         e = _exponentials(gen, (rows, p.k))
-        parts.append((e / rates).sum(axis=1))
+        e /= rates
+        parts.append(e.sum(axis=1))
     return SampleBatch(np.concatenate(parts), p.n, p.k, "sum_representation", stream)
 
 
@@ -199,7 +214,8 @@ def sample_race_indicators(
     gen = stream.generator()
     parts = []
     for rows in _row_chunks(count, p.n + g.r):
-        t = np.sort(_exponentials(gen, (rows, p.n)), axis=1)[:, p.k - 1]
+        # a copy, so the sorted block is freed before the gamma draws
+        t = _sorted_block(gen, rows, p.n)[:, p.k - 1].copy()
         x = _exponentials(gen, (rows, g.r)).sum(axis=1) / float(g.s)
         parts.append((x > t).astype(np.float64))
     return SampleBatch(np.concatenate(parts), p.n, p.k, "race_indicator", stream)

@@ -232,6 +232,20 @@ class TestBehaviourAnchors:
         assert self.anchor(out.encode()) == ("5ada1533eab2d126", 3_955)
         assert out.startswith("identity sweep: 1878 checks, 0 mismatches\n")
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["simulate", "--format", "json"], ("63dea10eb13c9c0b", 6_999)),
+            (["race", "--format", "json"], ("61d012c5f3b5e351", 191)),
+            (["race", "--format", "json", "--chunks", "1000"], ("83db5f0dcb04f24b", 191)),
+        ],
+    )
+    def test_monte_carlo(self, capsys, monkeypatch, argv, expected):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert self.anchor(out.encode()) == expected
+
     def test_converge_tables_csv(self, capsys):
         code, out = run_cli(
             ["converge", "--format", "csv", "--targets", "gamma,basel,variance,gumbel"], capsys

@@ -3,12 +3,17 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import kolmogorov
 
+import exporder.cli as cli
+import exporder.convergence as convergence
 from exporder.convergence import (
     EULER_GAMMA,
     EXACT_SUM_LIMIT,
@@ -32,6 +37,37 @@ from exporder.convergence import (
 from exporder.sampling import SampleBatch, SeededStream, sample_exponential
 
 POWERS_OF_TEN = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
+
+
+def as_batch(values):
+    return SampleBatch(np.asarray(values, dtype=np.float64), 1, None, "exponential", SeededStream(0))
+
+
+def searchsorted_statistic(xa, xb):
+    """The two-binary-search D the merge replaced, kept as the reference."""
+    xa = np.sort(xa)
+    xb = np.sort(xb)
+    pooled = np.concatenate([xa, xb])
+    fa = np.searchsorted(xa, pooled, side="right") / xa.size
+    fb = np.searchsorted(xb, pooled, side="right") / xb.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+def is_degenerate(values):
+    return len(values) > 1 and len(set(values)) == 1
+
+
+# continuous values, a few tied values (-0.0 equals 0.0), and a side that is
+# one value repeated, with or without one other point
+continuous_side = st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=200)
+tied_side = st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0, 2.5, 7.0]), min_size=1, max_size=200)
+repeated_side = st.builds(
+    lambda c, m, extra: [float(c)] * m + extra,
+    st.integers(0, 7),
+    st.integers(1, 200),
+    st.lists(st.integers(0, 7).map(float), max_size=1),
+)
+any_side = st.one_of(continuous_side, tied_side, repeated_side)
 
 
 def unit_exp_cdf(t):
@@ -105,6 +141,47 @@ class TestKsTwoSample:
         assert result.statistic == 0.0
         assert result.threshold_or_pvalue == 1.0
         assert result.passed
+
+    @settings(max_examples=400, deadline=None)
+    @given(xa=any_side, xb=any_side)
+    def test_statistic_equals_binary_search_kernel(self, xa, xb):
+        """Bit for bit, at sizes 1..200 on each side and under heavy ties."""
+        if is_degenerate(xa) or is_degenerate(xb):
+            with pytest.raises(ValueError, match="degenerate"):
+                ks_two_sample(as_batch(xa), as_batch(xb))
+            return
+        d = ks_two_sample(as_batch(xa), as_batch(xb)).statistic
+        assert d == searchsorted_statistic(np.array(xa), np.array(xb))
+
+    def test_ties_across_samples_counted_at_run_end(self):
+        """At a value both samples share, both cdfs count every point <= it."""
+        result = ks_two_sample(as_batch([1.0, 2.0, 2.0, 3.0]), as_batch([2.0, 2.0, 2.0, 5.0]))
+        # at 2: 3/4 - 3/4; at 1: 1/4 - 0; at 3: 1 - 3/4
+        assert result.statistic == 0.25
+
+    @pytest.mark.parametrize("seed", [cli.DEFAULT_SEED, 5])
+    def test_default_simulate_cells_bit_identical(self, monkeypatch, seed):
+        """D on every sampler-equivalence cell of a default simulate run."""
+        pairs = []
+
+        def recording(a, b, **kwargs):
+            result = ks_two_sample(a, b, **kwargs)
+            pairs.append((result.statistic, searchsorted_statistic(a.values, b.values)))
+            return result
+
+        monkeypatch.setattr(convergence, "ks_two_sample", recording)
+        cli._simulate_results(cli.parse_args(["simulate", "--seed", str(seed)]))
+        assert len(pairs) == 21
+        for merged, reference in pairs:
+            assert merged == reference
+
+    def test_inputs_not_modified(self):
+        a = sample_exponential(SeededStream(16, 0), 1000)
+        b = sample_exponential(SeededStream(16, 1), 700)
+        a_before, b_before = a.values.copy(), b.values.copy()
+        ks_two_sample(a, b)
+        assert np.array_equal(a.values, a_before)
+        assert np.array_equal(b.values, b_before)
 
 
 class TestReciprocalPowerSums:
@@ -230,6 +307,17 @@ class TestTailBoundAudit:
     def test_empty_n_list_rejected(self):
         with pytest.raises(ValueError, match="at least one sample size"):
             tail_bound_audit([], [0.5])
+
+    @pytest.mark.parametrize("x", [710.0, 800.0])
+    def test_x_beyond_float_range_rejected(self, x):
+        with pytest.raises(ValueError, match="ln of the largest float"):
+            tail_bound_audit([10], [x])
+
+    def test_x_just_inside_float_range_passes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = tail_bound_audit([10], [709.0])
+        assert all(r.passed for r in results)
 
 
 class TestGumbelApproxError:

@@ -294,3 +294,7 @@ class TestZnCdf:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             zn_cdf(3, math.nan)
+
+    def test_bool_n_rejected(self):
+        with pytest.raises(ValueError):
+            zn_cdf(True, 0.5)

@@ -3,11 +3,13 @@
 import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import exporder.sampling as sampling
 from exporder.distributions import GammaParams
 from exporder.laplace import OrderStatParams
 from exporder.sampling import (
@@ -128,6 +130,19 @@ class TestOrderStatSamplers:
         target = float(sum(Fraction(1, j * j) for j in range(1, 5)))
         assert abs(batch.variance() - target) / target < 0.05
 
+    def test_direct_keeps_one_block_alive(self, monkeypatch):
+        """Over 100 chunks only the kept column of each block stays in memory."""
+        monkeypatch.setattr(sampling, "_CHUNK_CELLS", 6 * 1000)
+        tracemalloc.start()
+        try:
+            sample_orderstat_direct(SeededStream(7), OrderStatParams(6, 3), 10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two 0.76 MiB copies of the output and one 47 KiB block; pinning
+        # every block would hold 4.6 MiB
+        assert peak < 2 * 2**20
+
     def test_metadata(self):
         batch = sample_orderstat_direct(SeededStream(3), OrderStatParams(4, 2), 10)
         assert (batch.n, batch.k, batch.sampler_id) == (4, 2, "direct_sort")
@@ -234,6 +249,16 @@ class TestRace:
         batch = sample_race_indicators(SeededStream(3), OrderStatParams(2, 2), GammaParams(2, 1), 100)
         assert set(np.unique(batch.values)) <= {0.0, 1.0}
         assert batch.sampler_id == "race_indicator"
+
+    def test_memory_bounded_by_block(self):
+        """The 24 MiB sorted block is freed before the gamma draws of the same chunk."""
+        tracemalloc.start()
+        try:
+            sample_race_indicators(SeededStream(7), OrderStatParams(3, 2), GammaParams(1, 1), 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * 2**20
 
     def test_chunks_validated(self):
         with pytest.raises(ValueError):

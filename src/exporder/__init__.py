@@ -46,9 +46,7 @@ from .distributions import (
 from .sampling import (
     SampleBatch,
     SeededStream,
-    dump_batch,
     estimate_race,
-    load_batch,
     race_chunk_summary,
     sample_exponential,
     sample_normalized_spacings,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -63,6 +64,7 @@ DEFAULT_ALPHA = 0.001
 
 # largest x whose e^x is a finite float (the tail audit's upper limit)
 _TAIL_X_MAX = math.log(sys.float_info.max)
+_GUMBEL_GRID_POINTS = 2000
 
 
 @dataclass(frozen=True)
@@ -192,8 +194,17 @@ def _recip_power_sum_value(n: int, power: int) -> float:
     return math.fsum(itertools.chain.from_iterable(blocks))
 
 
+def _sizes(n_list: Sequence[int]) -> list[int]:
+    # ints and numpy integers only; int() would turn 10.7 into 10 and True into 1
+    ns = list(n_list)
+    bad = [n for n in ns if isinstance(n, bool) or not isinstance(n, numbers.Integral)]
+    if bad:
+        raise ValueError(f"sample sizes must be integers, got {bad[0]!r}")
+    return [int(n) for n in ns]
+
+
 def _check_n_list(n_list: Sequence[int]) -> list[int]:
-    ns = [int(n) for n in n_list]
+    ns = _sizes(n_list)
     if not ns:
         raise ValueError("empty n list")
     if any(n < 1 for n in ns):
@@ -258,7 +269,7 @@ def tail_bound_audit(
     largest float (~709.78) is rejected: e^x overflows there, and the
     bound 2 e^-x is too close to 0 for the comparison to mean anything.
     """
-    ns = [int(n) for n in n_list]
+    ns = _sizes(n_list)
     if not ns or any(n < 1 for n in ns):
         raise ValueError("audit needs at least one sample size, all >= 1")
     xs = np.asarray(list(x_grid), dtype=np.float64)
@@ -300,17 +311,15 @@ def tail_bound_audit(
     return results
 
 
-def gumbel_approx_error(
-    n_list: Sequence[int], grid_points: int = 2000
-) -> list[ConvergenceRow]:
+def gumbel_approx_error(n_list: Sequence[int]) -> list[ConvergenceRow]:
     """Sup distance between the shifted-maximum cdf and the Gumbel cdf.
 
-    The sup is taken over a dense grid covering the support from just above
-    -ln n out to 10; it shrinks like ~0.27/n.
+    The sup is taken over 2,000 evenly spaced points covering the support
+    from just above -ln n out to 10; it shrinks like ~0.27/n.
     """
     rows = []
     for n in _check_n_list(n_list):
-        xs = np.linspace(-math.log(n) + 1e-6, 10.0, grid_points)
+        xs = np.linspace(-math.log(n) + 1e-6, 10.0, _GUMBEL_GRID_POINTS)
         zn = _zn_cdf_array(n, xs)
         gum = np.exp(-np.exp(-xs))
         sup = float(np.max(np.abs(zn - gum)))

@@ -34,14 +34,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GammaParams:
-    """Gamma distribution with rate s > 0 and integer shape r >= 1."""
+    """Gamma distribution with finite rate s > 0 and integer shape r >= 1."""
 
     s: Real
     r: int
 
     def __post_init__(self):
-        if isinstance(self.s, bool) or not self.s > 0:
-            raise ValueError(f"rate must be > 0, got {self.s}")
+        # compared, not float()-ed, so a huge exact rate stays accepted
+        if isinstance(self.s, bool) or not 0 < self.s < math.inf:
+            raise ValueError(f"rate must be > 0 and finite, got {self.s}")
         if isinstance(self.r, bool) or not (isinstance(self.r, int) and self.r >= 1):
             raise ValueError(f"shape must be an integer >= 1, got {self.r}")
 

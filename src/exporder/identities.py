@@ -123,12 +123,13 @@ def verify_max_order(n: int) -> IdentityReport:
 
 
 def verify_max_order_value(n: int, s: Rational) -> IdentityReport:
-    """k=n identity at one rational point: alternating single sum vs product value."""
+    """k=n identity at one rational s > 0: alternating single sum vs product value.
+
+    The left side is the k=n double sum, whose coefficients A_c reduce to
+    (-1)^c C(n,c); the right side multiplies out prod_{j<=n} j/(s+j).
+    """
     s = Fraction(s)
-    lhs = Fraction(0)
-    for j in range(n + 1):
-        term = binomial(n, j) * s / (s + j)
-        lhs += -term if j % 2 else term
+    lhs = generalized_double_sum(OrderStatParams(n, n), 1, s)
     rhs = Fraction(1)
     for j in range(1, n + 1):
         rhs *= Fraction(j) / (s + j)
@@ -136,13 +137,10 @@ def verify_max_order_value(n: int, s: Rational) -> IdentityReport:
 
 
 def verify_integer_rate(n: int, k_s: int) -> IdentityReport:
-    """Alternating sum at integer rate k_s vs the reciprocal binomial 1/C(n+k_s, k_s)."""
+    """Max-order sum at s = k_s, sum_c (-1)^c C(n,c) k_s/(k_s+c), vs 1/C(n+k_s, k_s)."""
     if n < 1 or k_s < 1:
         raise ValueError(f"n and k_s must be >= 1, got n={n}, k_s={k_s}")
-    lhs = Fraction(0)
-    for j in range(n + 1):
-        term = Fraction(binomial(n, j) * k_s, k_s + j)
-        lhs += -term if j % 2 else term
+    lhs = generalized_double_sum(OrderStatParams(n, n), 1, k_s)
     rhs = Fraction(1, binomial(n + k_s, k_s))
     return _report("integer_rate_reciprocal_binomial", {"n": n, "k_s": k_s}, lhs, rhs)
 
@@ -283,20 +281,16 @@ def run_suite(
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    s_grid = tuple(Fraction(s) for s in s_grid)
+    # with the grid ascending, the reports that differ only in s come out of
+    # _cases in ascending s, so the stable sort needs no Fraction comparisons
+    s_grid = tuple(sorted(Fraction(s) for s in s_grid))
     return sorted((_run_case(*case) for case in _cases(max_n, max_r, s_grid)), key=_sort_key)
 
 
 def _sort_key(report: IdentityReport):
     p = report.params
-    return (
-        report.identity_id,
-        p.get("n", 0),
-        p.get("k", p.get("k_s", 0)),
-        p.get("r", 0),
-        p.get("s", 0),
-        p.get("index", 0),
-    )
+    k = p.get("k", p.get("k_s", 0))
+    return (report.identity_id, p.get("n", 0), k, p.get("r", 0), p.get("index", 0))
 
 
 def _serialize_side(side: Side):

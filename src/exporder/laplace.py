@@ -67,28 +67,35 @@ def product_form(p: OrderStatParams) -> RationalFunction:
     return RationalFunction(Polynomial((numer,)), denom)
 
 
+def _signed_coefficients(p: OrderStatParams) -> list[int]:
+    # A_c = sum of (-1)^j C(n,m) C(m,j) over the (m, j) with n - m + j = c,
+    # m = k..n, j = 0..m; every double sum here is sum_c A_c * term(c)
+    n = p.n
+    coeff = [0] * (n + 1)
+    for m in range(p.k, n + 1):
+        c_nm = binomial(n, m)
+        for j in range(m + 1):
+            term = c_nm * binomial(m, j)
+            coeff[n - m + j] += -term if j % 2 else term
+    return coeff
+
+
 def double_sum_form(p: OrderStatParams) -> RationalFunction:
     """Transform as the cdf-derived alternating double sum, canonicalized.
 
-    Every term has a denominator s + c with c = n - m + j in {0, ..., n},
-    so the sum is accumulated exactly over the shared denominator
-    prod_{c=0}^{n} (s + c) and reduced once at the end.
+    The (m, j) term is C(n,m) C(m,j) (-1)^j s/(s+c) with c = n - m + j, so
+    the double sum is sum_{c=0}^{n} A_c s/(s+c) with integer A_c, of which
+    only k+1 are nonzero.  It is accumulated exactly over the shared
+    denominator prod_{c=0}^{n} (s + c) and reduced once at the end.
     """
-    n, k = p.n, p.k
     shared = Polynomial((1,))
-    for c in range(n + 1):
+    for c in range(p.n + 1):
         shared = shared * _s_plus(c)
-    cofactor = [shared.divexact(_s_plus(c)) for c in range(n + 1)]
-
     numer = Polynomial()
-    for m in range(k, n + 1):
-        c_nm = binomial(n, m)
-        for j in range(m + 1):
-            coeff = c_nm * binomial(m, j)
-            if j % 2:
-                coeff = -coeff
-            numer = numer + (cofactor[n - m + j] * coeff).shift()
-    return RationalFunction(numer, shared)
+    for c, A in enumerate(_signed_coefficients(p)):
+        if A:
+            numer = numer + shared.divexact(_s_plus(c)) * A
+    return RationalFunction(numer.shift(), shared)
 
 
 def _positive_rational(s: Scalar) -> Fraction:
@@ -130,20 +137,15 @@ def generalized_double_sum(p: OrderStatParams, r: int, s: Scalar) -> Rational:
     """Alternating double sum with r-th powers of s / (s + n - m + j), exact.
 
     The (m, j) term depends on m and j only through c = n - m + j, so the
-    signed binomial products are first collected into one integer
-    coefficient A_c per c, and the sum of A_c * (s/(s+c))^r over c = 0..n is
-    taken once and normalized once.
+    sum is sum_{c=0}^{n} A_c * (s/(s+c))^r with the integer coefficients
+    A_c of :func:`double_sum_form`, taken once and normalized once.  At
+    k = n, A_c = (-1)^c C(n,c), so r = 1 gives the max-order sum
+    sum_j (-1)^j C(n,j) s/(s+j).
     """
     if r < 1:
         raise ValueError(f"power must be >= 1, got {r}")
     s = _positive_rational(s)
     a, b = s.numerator, s.denominator
-    n, k = p.n, p.k
-    coeff = [0] * (n + 1)
-    for m in range(k, n + 1):
-        c_nm = binomial(n, m)
-        for j in range(m + 1):
-            term = c_nm * binomial(m, j)
-            coeff[n - m + j] += -term if j % 2 else term
+    coeff = _signed_coefficients(p)
     ar = a**r
     return Fraction(*_sum_pairs([(A * ar, (a + c * b) ** r) for c, A in enumerate(coeff) if A]))

@@ -19,9 +19,8 @@ races with chunkable, order-independent reductions.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,22 +38,14 @@ __all__ = [
     "sample_race_indicators",
     "estimate_race",
     "race_chunk_summary",
-    "dump_batch",
-    "load_batch",
 ]
 
 # rows-per-chunk ceiling keeps matrices of n columns near ~32 MiB
 _CHUNK_CELLS = 1 << 22
 
-SAMPLER_CODES = {
-    "exponential": 0,
-    "direct_sort": 1,
-    "sum_representation": 2,
-    "spacing": 3,
-    "zn": 4,
-    "race_indicator": 5,
-}
-_CODE_TO_SAMPLER = {v: k for k, v in SAMPLER_CODES.items()}
+SAMPLER_IDS = frozenset(
+    {"exponential", "direct_sort", "sum_representation", "spacing", "zn", "race_indicator"}
+)
 
 
 def _is_int(v) -> bool:
@@ -93,7 +84,7 @@ class SampleBatch:
     seed_info: SeededStream
 
     def __post_init__(self):
-        if self.sampler_id not in SAMPLER_CODES:
+        if self.sampler_id not in SAMPLER_IDS:
             raise ValueError(f"unknown sampler_id {self.sampler_id!r}")
         if self.values.size == 0:
             raise ValueError("empty sample batch")
@@ -106,8 +97,8 @@ class SampleBatch:
     def mean(self) -> float:
         return float(np.mean(self.values))
 
-    def variance(self, ddof: int = 1) -> float:
-        return float(np.var(self.values, ddof=ddof))
+    def variance(self) -> float:
+        return float(np.var(self.values, ddof=1))
 
 
 def _check_count(count: int) -> int:
@@ -252,56 +243,3 @@ def estimate_race(
         h, _ = race_chunk_summary(stream.substream(c), p, g, size)
         hits += h
     return hits / count
-
-
-# -- binary batch dump ------------------------------------------------------
-
-# 32 bytes: magic, version u8, sampler u8, n u32, k u16, count u32,
-# seed u64, stream_id u64
-_HEADER = struct.Struct("<4sBBIHIQQ")
-_MAGIC = b"ESVB"
-_VERSION = 1
-
-
-def dump_batch(batch: SampleBatch, fh: BinaryIO) -> None:
-    """Write a batch as a 32-byte header plus little-endian float64 values."""
-    k = batch.k if batch.k is not None else 0
-    if batch.n >= 2**32 or len(batch) >= 2**32 or k >= 2**16:
-        raise ValueError("batch parameters exceed the header field widths")
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        SAMPLER_CODES[batch.sampler_id],
-        batch.n,
-        k,
-        len(batch),
-        batch.seed_info.seed,
-        batch.seed_info.stream_id,
-    )
-    fh.write(header)
-    fh.write(np.ascontiguousarray(batch.values, dtype="<f8").tobytes())
-
-
-def load_batch(fh: BinaryIO) -> SampleBatch:
-    """Read a batch written by :func:`dump_batch`."""
-    raw = fh.read(_HEADER.size)
-    if len(raw) != _HEADER.size:
-        raise ValueError("truncated batch header")
-    magic, version, code, n, k, count, seed, stream_id = _HEADER.unpack(raw)
-    if magic != _MAGIC:
-        raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    if version != _VERSION:
-        raise ValueError(f"unsupported batch version {version}")
-    if code not in _CODE_TO_SAMPLER:
-        raise ValueError(f"unknown sampler code {code}")
-    data = fh.read(8 * count)
-    if len(data) != 8 * count:
-        raise ValueError("truncated batch payload")
-    values = np.frombuffer(data, dtype="<f8").astype(np.float64)
-    return SampleBatch(
-        values,
-        n,
-        k if k else None,
-        _CODE_TO_SAMPLER[code],
-        SeededStream(seed, stream_id),
-    )

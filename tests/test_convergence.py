@@ -239,6 +239,15 @@ class TestEulerGammaTable:
         with pytest.raises(ValueError):
             euler_gamma_table([100, 10])
 
+    @pytest.mark.parametrize("n", [10.7, 10.0, True, np.float64(10.0)])
+    def test_non_integer_size_rejected(self, n):
+        # int() would have truncated these to a row for another n
+        with pytest.raises(ValueError, match="must be integers"):
+            euler_gamma_table([n])
+
+    def test_numpy_integer_size_accepted(self):
+        assert euler_gamma_table([np.int64(10)]) == euler_gamma_table([10])
+
 
 class TestBaselTable:
     def test_first_row(self):
@@ -307,6 +316,14 @@ class TestTailBoundAudit:
     def test_empty_n_list_rejected(self):
         with pytest.raises(ValueError, match="at least one sample size"):
             tail_bound_audit([], [0.5])
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_non_integer_size_rejected(self, n):
+        with pytest.raises(ValueError, match="must be integers"):
+            tail_bound_audit([n], [1.0])
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert tail_bound_audit(np.arange(1, 11), [1.0]) == tail_bound_audit(range(1, 11), [1.0])
 
     @pytest.mark.parametrize("x", [710.0, 800.0])
     def test_x_beyond_float_range_rejected(self, x):

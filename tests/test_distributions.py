@@ -222,6 +222,13 @@ class TestErlangSurvival:
             GammaParams(1, True)
         with pytest.raises(ValueError):
             GammaParams(True, 1)
+        # an infinite rate would make erlang_survival(g, 0.0) nan (inf * 0)
+        for rate in (float("inf"), np.inf):
+            with pytest.raises(ValueError):
+                GammaParams(rate, 1)
+
+    def test_huge_exact_rate_accepted(self):
+        assert GammaParams(Fraction(10**400), 1).s == 10**400
 
 
 class TestRaceProbability:

@@ -71,6 +71,11 @@ class TestSpecialCases:
             rep = verify_max_order_value(30, s)
             assert rep.matched
 
+    @pytest.mark.parametrize("s", [F(0), F(-1, 2)])
+    def test_max_order_value_nonpositive_s_rejected(self, s):
+        with pytest.raises(ValueError):
+            verify_max_order_value(3, s)
+
 
 class TestIntegerRate:
     def test_hand_values(self):
@@ -197,6 +202,18 @@ class TestRunSuite:
         keys = [(a.identity_id, a.params.get("n", 0)) for a in r1]
         assert keys == sorted(keys)
 
+    def test_unsorted_grid_reports_in_ascending_s(self):
+        reports = run_suite(2, 2, (F(2), F(1, 3), F(1), F(1, 2)))
+        keys = [
+            (r.identity_id, r.params.get("n", 0), r.params.get("k", r.params.get("k_s", 0)),
+             r.params.get("r", 0), r.params.get("s", 0), r.params.get("index", 0))
+            for r in reports
+        ]
+        assert keys == sorted(keys)
+        assert [r.params["s"] for r in reports if r.identity_id == "nested_product_sum"][:4] == [
+            F(1, 3), F(1, 2), F(1), F(2)
+        ]
+
     def test_full_default_sweep_zero_mismatches(self):
         reports = run_suite(12, 4)
         assert len(reports) > 1500
@@ -215,6 +232,31 @@ class TestRunSuite:
     def test_bad_max_n(self):
         with pytest.raises(ValueError):
             run_suite(0, 1, (F(1),))
+
+    def test_planted_coefficient_fault_reaches_every_double_sum(self, monkeypatch):
+        # every double sum is built from laplace._signed_coefficients, so a
+        # wrong A_0 must show in each family that uses one, and nowhere else
+        import exporder.laplace as laplace
+
+        signed_coefficients = laplace._signed_coefficients
+
+        def faulty(p):
+            coeff = signed_coefficients(p)
+            coeff[0] += 1
+            return coeff
+
+        monkeypatch.setattr(laplace, "_signed_coefficients", faulty)
+        reports = run_suite(4, 2, (F(1),))
+        failed = {(r.identity_id, "s" in r.params) for r in reports if not r.matched}
+        assert failed == {
+            ("product_vs_double_sum", False),
+            ("double_sum_min_order", False),
+            ("double_sum_max_order", False),
+            ("double_sum_max_order", True),
+            ("integer_rate_reciprocal_binomial", False),
+            ("power_sum_vs_derivative_sum", True),
+            ("square_power_min_order", True),
+        }
 
 
 class TestSerialization:

@@ -1,6 +1,5 @@
-"""Seeded samplers: determinism, golden values, law checks, batch I/O."""
+"""Seeded samplers: determinism, golden values, law checks."""
 
-import io
 import math
 import random
 import tracemalloc
@@ -15,9 +14,7 @@ from exporder.laplace import OrderStatParams
 from exporder.sampling import (
     SampleBatch,
     SeededStream,
-    dump_batch,
     estimate_race,
-    load_batch,
     race_chunk_summary,
     sample_exponential,
     sample_normalized_spacings,
@@ -280,42 +277,7 @@ class TestBatchValidation:
         with pytest.raises(ValueError):
             SampleBatch(np.array([1.0]), 1, None, "mystery", SeededStream(1))
 
-
-class TestBinaryDump:
-    def test_roundtrip(self):
-        batch = sample_orderstat_direct(SeededStream(12, 34), OrderStatParams(5, 2), 250)
-        buf = io.BytesIO()
-        dump_batch(batch, buf)
-        raw = buf.getvalue()
-        assert raw[:4] == b"ESVB"
-        assert len(raw) == 32 + 8 * 250
-        buf.seek(0)
-        loaded = load_batch(buf)
-        assert np.array_equal(loaded.values, batch.values)
-        assert loaded.n == 5 and loaded.k == 2
-        assert loaded.sampler_id == "direct_sort"
-        assert loaded.seed_info == SeededStream(12, 34)
-
-    def test_none_k_roundtrips(self):
-        batch = sample_exponential(SeededStream(4), 8)
-        buf = io.BytesIO()
-        dump_batch(batch, buf)
-        buf.seek(0)
-        assert load_batch(buf).k is None
-
-    def test_little_endian_payload(self):
-        batch = SampleBatch(np.array([1.5]), 1, None, "exponential", SeededStream(0))
-        buf = io.BytesIO()
-        dump_batch(batch, buf)
-        assert buf.getvalue()[32:] == np.array([1.5], dtype="<f8").tobytes()
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            load_batch(io.BytesIO(b"NOPE" + bytes(28)))
-
-    def test_truncated_rejected(self):
-        batch = sample_exponential(SeededStream(4), 8)
-        buf = io.BytesIO()
-        dump_batch(batch, buf)
-        with pytest.raises(ValueError):
-            load_batch(io.BytesIO(buf.getvalue()[:-8]))
+    @pytest.mark.parametrize("sampler_id", sorted(sampling.SAMPLER_IDS))
+    def test_every_sampler_id_accepted(self, sampler_id):
+        batch = SampleBatch(np.array([1.0]), 1, None, sampler_id, SeededStream(1))
+        assert batch.sampler_id == sampler_id

@@ -47,6 +47,14 @@ class GammaParams:
             raise ValueError(f"shape must be an integer >= 1, got {self.r}")
 
 
+def _float_rate(s: Real) -> float:
+    """A GammaParams rate as a float: inf where the exact rate is beyond the float range."""
+    try:
+        return float(s)
+    except OverflowError:
+        return math.inf
+
+
 def _check_nonnegative(t: float, name: str = "t") -> float:
     t = float(t)
     if not t >= 0:
@@ -116,7 +124,13 @@ def erlang_survival(g: GammaParams, x: float) -> float:
     where the sum is close to 1.
     """
     x = _check_nonnegative(x, "x")
-    sx = float(g.s) * x
+    # the ends first: there a rate beyond the float range (inf) or below it
+    # (0.0) would make s*x nan
+    if x == 0.0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    sx = _float_rate(g.s) * x
     if sx == 0.0:
         return 1.0
     if math.isinf(sx):

@@ -206,6 +206,14 @@ class TestRaceCommand:
         _, second = run_cli(self.ARGS + ["--format", "json"], capsys)
         assert first == second
 
+    def test_rate_beyond_float_range(self, capsys):
+        """The gamma draws are all 0 at such a rate, so none beats the order statistic."""
+        argv = ["race", "--s", str(10**400), "--replicates", "1000", "--format", "json"]
+        code, out = run_cli(argv, capsys)
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["estimate"], payload["verdict"]) == (0.0, "pass")
+
 
 class TestBehaviourAnchors:
     """Stdout of the default commands, pinned by sha256 prefix and byte count."""

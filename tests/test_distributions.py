@@ -230,6 +230,20 @@ class TestErlangSurvival:
     def test_huge_exact_rate_accepted(self):
         assert GammaParams(Fraction(10**400), 1).s == 10**400
 
+    def test_huge_exact_rate_survival(self):
+        """A rate beyond the float range acts as an infinite one, not an OverflowError."""
+        for r in (1, 3):
+            g = GammaParams(10**400, r)
+            assert erlang_survival(g, 0.0) == 1.0
+            assert erlang_survival(g, 1e-300) == 0.0
+            assert erlang_survival(g, math.inf) == 0.0
+
+    def test_tiny_exact_rate_survival_at_infinity(self):
+        """A rate that rounds to 0.0 gives 0 at x = inf, not nan from 0 * inf."""
+        g = GammaParams(Fraction(1, 10**400), 2)
+        assert erlang_survival(g, math.inf) == 0.0
+        assert erlang_survival(g, 1.0) == 1.0
+
 
 class TestRaceProbability:
     def test_single_gamma_equals_transform(self):

@@ -1,5 +1,6 @@
 """Seeded samplers: determinism, golden values, law checks."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -7,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exporder.sampling as sampling
 from exporder.distributions import GammaParams
@@ -144,6 +147,76 @@ class TestOrderStatSamplers:
         batch = sample_orderstat_direct(SeededStream(3), OrderStatParams(4, 2), 10)
         assert (batch.n, batch.k, batch.sampler_id) == (4, 2, "direct_sort")
         assert len(batch) == 10
+
+
+CEILING = sampling._NETWORK_MAX_N
+
+
+def _sampler_cols(n):
+    """Every cols argument the samplers pass for rows of length n."""
+    return [(k - 1,) for k in range(1, n + 1)] + [(k - 2, k - 1) for k in range(2, n + 1)]
+
+
+def _old_sorted_blocks(stream, n, count, extra=0):
+    """The sort-then-column path the selection network replaced, block by block."""
+    gen = stream.generator()
+    rows_per = max(1, sampling._CHUNK_CELLS // (n + extra))
+    for start in range(0, count, rows_per):
+        rows = min(rows_per, count - start)
+        block = -np.log1p(-gen.random((rows, n)))
+        block.sort(axis=1)
+        yield gen, rows, block
+
+
+class TestSelectColumns:
+    @pytest.mark.parametrize("n", range(1, CEILING + 1))
+    def test_zero_one_principle(self, n):
+        """The pruned network selects right on all 2^n 0-1 rows, so on every input."""
+        block = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+        expected = np.sort(block, axis=1)
+        for cols in _sampler_cols(n):
+            assert np.array_equal(sampling._select_columns(block, cols), expected[:, cols].T), cols
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, CEILING + 2), rows=st.integers(1, 40),
+           tile=st.integers(1, 16), ties=st.booleans())
+    def test_equals_sorted_columns(self, data, n, rows, tile, ties):
+        values = st.sampled_from([0.0, 0.5, 1.0]) if ties else st.floats(0.0, 1e300)
+        flat = data.draw(st.lists(values, min_size=rows * n, max_size=rows * n))
+        k = data.draw(st.integers(1, n))
+        cols = (k - 1,) if k == 1 or data.draw(st.booleans()) else (k - 2, k - 1)
+        block = np.array(flat).reshape(rows, n)
+        original = block.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "_TILE_ROWS", tile)
+            got = sampling._select_columns(block, cols)
+        expected = np.sort(original, axis=1)
+        assert got.shape == (len(cols), rows)
+        assert got.tobytes() == np.ascontiguousarray(expected[:, cols].T).tobytes()
+        # the network only reads the block; the row sort above the ceiling sorts it in place
+        assert block.tobytes() == (original if n <= CEILING else expected).tobytes()
+
+    @pytest.mark.parametrize("n", [CEILING, CEILING + 1])
+    def test_samplers_match_sort_then_column(self, n, monkeypatch):
+        """Over several chunks and tiles, every selected draw is the sorted one, bit for bit."""
+        monkeypatch.setattr(sampling, "_CHUNK_CELLS", 50 * n)
+        monkeypatch.setattr(sampling, "_TILE_ROWS", 16)
+        stream, count = SeededStream(13, 5), 170
+        g = GammaParams(Fraction(3, 2), 2)
+        for k in range(1, n + 1):
+            p = OrderStatParams(n, k)
+            blocks = [b for _, _, b in _old_sorted_blocks(stream, n, count)]
+            direct = np.concatenate([b[:, k - 1] for b in blocks])
+            below = np.concatenate([b[:, k - 2] if k > 1 else np.zeros(len(b)) for b in blocks])
+            race = []
+            for gen, rows, b in _old_sorted_blocks(stream, n, count, extra=g.r):
+                x = -np.log1p(-gen.random((rows, g.r)))
+                race.append((x.sum(axis=1) / 1.5 > b[:, k - 1]).astype(np.float64))
+            assert sample_orderstat_direct(stream, p, count).values.tobytes() == direct.tobytes()
+            spacing = sample_normalized_spacings(stream, n, k, count).values
+            assert spacing.tobytes() == ((n - k + 1) * (direct - below)).tobytes()
+            race_values = sample_race_indicators(stream, p, g, count).values
+            assert race_values.tobytes() == np.concatenate(race).tobytes()
 
 
 class TestSpacings:

@@ -5,15 +5,15 @@ p-value 2*sum_i (-1)^(i-1) exp(-2 i^2 N D^2); decisions default to
 alpha = 0.001 so fixed-seed runs are stable.
 
 The tables reproduce two classical limits numerically: H_n - ln n -> the
-Euler-Mascheroni constant, and sum 1/j^2 -> pi^2/6 (which is also the
-variance of the largest of n unit exponentials, checked through a second
-code path).  Partial sums are exact big-integer arithmetic up to
-EXACT_SUM_LIMIT terms and Shewchuk-compensated float summation (math.fsum)
-beyond, so every reported value is correctly rounded.  The float terms
-1/j^p are built by numpy in blocks of _BLOCK (the same IEEE division and
-power as one Python float at a time, so the same floats) and all blocks
-stream into one fsum; blocking keeps the term lists at 2^15 floats rather
-than n.
+Euler-Mascheroni constant, and sum 1/j^2 -> pi^2/6.  The variance table
+repeats the Basel rows: the largest of n unit exponentials is a sum of
+independent E_j/j, so its variance is that partial sum.  Partial sums are
+exact big-integer arithmetic up to EXACT_SUM_LIMIT terms and
+Shewchuk-compensated float summation (math.fsum) beyond, so every reported
+value is correctly rounded.  The float terms 1/j^p are built by numpy in
+blocks of _BLOCK (the same IEEE division and power as one Python float at a
+time, so the same floats) and all blocks stream into one fsum; blocking
+keeps the term lists at 2^15 floats rather than n.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import _orderstat_var_pair, _zn_cdf_array
+from .distributions import _zn_cdf_array
 from .exact import _sum_pairs
-from .laplace import OrderStatParams
 from .sampling import SampleBatch
 
 __all__ = [
@@ -112,6 +111,12 @@ def _check_not_degenerate(values: np.ndarray, label: str) -> None:
         raise ValueError(f"degenerate {label}: all values equal")
 
 
+def _ks_result(test_id: str, d: float, n_eff: float, alpha: float) -> TestResult:
+    """The verdict on statistic d with effective sample size n_eff."""
+    p = _kolmogorov_pvalue(n_eff * d * d)
+    return TestResult(test_id, d, p, int(round(n_eff)), "pass" if p > alpha else "fail")
+
+
 def ks_one_sample(
     batch: SampleBatch,
     cdf: Callable[[float], float],
@@ -131,10 +136,7 @@ def ks_one_sample(
     grid = np.arange(1, n + 1, dtype=np.float64) / n
     d_plus = float(np.max(grid - f))
     d_minus = float(np.max(f - (grid - 1.0 / n)))
-    d = max(d_plus, d_minus, 0.0)
-    p = _kolmogorov_pvalue(n * d * d)
-    verdict = "pass" if p > alpha else "fail"
-    return TestResult(test_id, d, p, n, verdict)
+    return _ks_result(test_id, max(d_plus, d_minus, 0.0), n, alpha)
 
 
 def ks_two_sample(
@@ -174,10 +176,7 @@ def ks_two_sample(
     gap -= cb / nb
     np.abs(gap, out=gap)
     d = float(np.max(gap, where=last, initial=0.0))
-    n_eff = na * nb / (na + nb)
-    p = _kolmogorov_pvalue(n_eff * d * d)
-    verdict = "pass" if p > alpha else "fail"
-    return TestResult(test_id, d, p, int(round(n_eff)), verdict)
+    return _ks_result(test_id, d, na * nb / (na + nb), alpha)
 
 
 # -- reciprocal-power partial sums ------------------------------------------
@@ -214,43 +213,33 @@ def _check_n_list(n_list: Sequence[int]) -> list[int]:
     return ns
 
 
-def euler_gamma_table(n_list: Sequence[int]) -> list[ConvergenceRow]:
-    """Rows of H_n - ln n against the Euler-Mascheroni constant."""
+def _rows(
+    n_list: Sequence[int], target: float, value_at: Callable[[int], float]
+) -> list[ConvergenceRow]:
     rows = []
     for n in _check_n_list(n_list):
-        value = _recip_power_sum_value(n, 1) - math.log(n)
-        rows.append(ConvergenceRow(n, value, EULER_GAMMA, abs(value - EULER_GAMMA)))
+        value = value_at(n)
+        rows.append(ConvergenceRow(n, value, target, abs(value - target)))
     return rows
+
+
+def euler_gamma_table(n_list: Sequence[int]) -> list[ConvergenceRow]:
+    """Rows of H_n - ln n against the Euler-Mascheroni constant."""
+    return _rows(n_list, EULER_GAMMA, lambda n: _recip_power_sum_value(n, 1) - math.log(n))
 
 
 def basel_table(n_list: Sequence[int]) -> list[ConvergenceRow]:
     """Rows of the partial sums of 1/j^2 against pi^2/6."""
-    rows = []
-    for n in _check_n_list(n_list):
-        value = _recip_power_sum_value(n, 2)
-        rows.append(ConvergenceRow(n, value, PI_SQUARED_OVER_6, abs(value - PI_SQUARED_OVER_6)))
-    return rows
+    return _rows(n_list, PI_SQUARED_OVER_6, lambda n: _recip_power_sum_value(n, 2))
 
 
 def variance_convergence_check(n_list: Sequence[int]) -> list[ConvergenceRow]:
-    """Variance of the n-th order statistic against pi^2/6.
+    """Variance of the largest of n unit exponentials against pi^2/6.
 
-    Routed through the order-statistic variance formula (sum of
-    1/(n-k+j)^2 with k = n), which must reproduce the Basel partial sums bit
-    for bit; its unreduced numerator and denominator go straight to one
-    correctly rounded int division.  Above EXACT_SUM_LIMIT the exact
-    rational is impractical, so the Basel table's compensated float
-    summation takes over.
+    These are the Basel rows: the maximum is the sum of independent E_j/j
+    for j = 1..n, so its variance is the partial sum of 1/j^2.
     """
-    rows = []
-    for n in _check_n_list(n_list):
-        if n <= EXACT_SUM_LIMIT:
-            num, den = _orderstat_var_pair(OrderStatParams(n, n))
-            value = num / den
-        else:
-            value = _recip_power_sum_value(n, 2)
-        rows.append(ConvergenceRow(n, value, PI_SQUARED_OVER_6, abs(value - PI_SQUARED_OVER_6)))
-    return rows
+    return basel_table(n_list)
 
 
 def tail_bound_audit(
@@ -317,14 +306,12 @@ def gumbel_approx_error(n_list: Sequence[int]) -> list[ConvergenceRow]:
     The sup is taken over 2,000 evenly spaced points covering the support
     from just above -ln n out to 10; it shrinks like ~0.27/n.
     """
-    rows = []
-    for n in _check_n_list(n_list):
+    def sup_distance(n: int) -> float:
         xs = np.linspace(-math.log(n) + 1e-6, 10.0, _GUMBEL_GRID_POINTS)
-        zn = _zn_cdf_array(n, xs)
-        gum = np.exp(-np.exp(-xs))
-        sup = float(np.max(np.abs(zn - gum)))
-        rows.append(ConvergenceRow(n, sup, 0.0, sup))
-    return rows
+        return float(np.max(np.abs(_zn_cdf_array(n, xs) - np.exp(-np.exp(-xs)))))
+
+    # the sup is >= 0, so its distance from the target 0.0 is the sup itself
+    return _rows(n_list, 0.0, sup_distance)
 
 
 # -- serialization -----------------------------------------------------------
@@ -339,28 +326,8 @@ def rows_to_csv(rows: Sequence[ConvergenceRow]) -> str:
 
 
 def rows_to_json(rows: Sequence[ConvergenceRow]) -> str:
-    return json.dumps(
-        [
-            {"n": r.n, "value": r.value, "target": r.target, "abs_error": r.abs_error}
-            for r in rows
-        ],
-        sort_keys=True,
-    )
+    return json.dumps([vars(r) for r in rows], sort_keys=True)
 
 
 def results_to_json_lines(results: Sequence[TestResult]) -> str:
-    lines = []
-    for t in results:
-        lines.append(
-            json.dumps(
-                {
-                    "test_id": t.test_id,
-                    "statistic": t.statistic,
-                    "threshold_or_pvalue": t.threshold_or_pvalue,
-                    "n_effective": t.n_effective,
-                    "verdict": t.verdict,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join(json.dumps(vars(t), sort_keys=True) for t in results) + "\n"

@@ -108,12 +108,7 @@ def orderstat_mean(p: OrderStatParams) -> Rational:
 
 def orderstat_var(p: OrderStatParams) -> Rational:
     """Exact variance: sum of 1/(n-k+j)^2 for j = 1..k."""
-    return Fraction(*_orderstat_var_pair(p))
-
-
-def _orderstat_var_pair(p: OrderStatParams) -> tuple[int, int]:
-    """orderstat_var as an unreduced (numerator, denominator) pair."""
-    return _sum_pairs([(1, (p.n - p.k + j) ** 2) for j in range(1, p.k + 1)])
+    return Fraction(*_sum_pairs([(1, (p.n - p.k + j) ** 2) for j in range(1, p.k + 1)]))
 
 
 def erlang_survival(g: GammaParams, x: float) -> float:

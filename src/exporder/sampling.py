@@ -255,8 +255,7 @@ def sample_orderstat_representation(
     gen = stream.generator()
     rates = np.arange(p.n - p.k + 1, p.n + 1, dtype=np.float64)
     parts = []
-    for rows in _row_chunks(count, p.k):
-        e = _exponentials(gen, (rows, p.k))
+    for e in _exponential_blocks(gen, p.k, count):
         e /= rates
         parts.append(e.sum(axis=1))
     return SampleBatch(np.concatenate(parts), p.n, p.k, "sum_representation", stream)
@@ -287,9 +286,7 @@ def sample_zn(stream: SeededStream, n: int, count: int) -> SampleBatch:
         raise ValueError(f"sample size must be an integer >= 1, got {n}")
     _check_count(count)
     gen = stream.generator()
-    parts = []
-    for rows in _row_chunks(count, n):
-        parts.append(_exponentials(gen, (rows, n)).max(axis=1) - np.log(n))
+    parts = [block.max(axis=1) - np.log(n) for block in _exponential_blocks(gen, n, count)]
     return SampleBatch(np.concatenate(parts), n, None, "zn", stream)
 
 
@@ -309,7 +306,12 @@ def sample_race_indicators(
     for rows in _row_chunks(count, p.n + g.r):
         # a copy, so the block is freed before the gamma draws
         t = _select_columns(_exponentials(gen, (rows, p.n)), (p.k - 1,))[0]
-        x = _exponentials(gen, (rows, g.r)).sum(axis=1) / rate
+        x = _exponentials(gen, (rows, g.r)).sum(axis=1)
+        # a rate that rounds to 0.0 would make x / rate warn, and nan at x = 0
+        if rate:
+            x /= rate
+        else:
+            x.fill(np.inf)
         parts.append((x > t).astype(np.float64))
     return SampleBatch(np.concatenate(parts), p.n, p.k, "race_indicator", stream)
 

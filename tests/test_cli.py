@@ -214,6 +214,15 @@ class TestRaceCommand:
         assert code == 0
         assert (payload["estimate"], payload["verdict"]) == (0.0, "pass")
 
+    @pytest.mark.filterwarnings("error")
+    def test_rate_below_float_range(self, capsys):
+        """The rate rounds to 0.0, so every gamma draw is inf and beats the order statistic."""
+        argv = ["race", "--s", f"1/{10**400}", "--replicates", "1000", "--format", "json"]
+        code, out = run_cli(argv, capsys)
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["estimate"], payload["verdict"]) == (1.0, "pass")
+
 
 class TestBehaviourAnchors:
     """Stdout of the default commands, pinned by sha256 prefix and byte count."""

@@ -34,6 +34,8 @@ from exporder.convergence import (
     tail_bound_audit,
     variance_convergence_check,
 )
+from exporder.distributions import orderstat_var
+from exporder.laplace import OrderStatParams
 from exporder.sampling import SampleBatch, SeededStream, sample_exponential
 
 POWERS_OF_TEN = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
@@ -283,6 +285,12 @@ class TestVarianceConvergence:
         variance = variance_convergence_check(mixed)
         for b, v in zip(basel, variance):
             assert b.value == v.value  # bit-for-bit
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, 1_000, 10_000])
+    def test_equals_variance_of_the_maximum(self, n):
+        """The rows are Var X_(n:n), which the order-statistic formula gives exactly."""
+        (row,) = variance_convergence_check([n])
+        assert row.value == float(orderstat_var(OrderStatParams(n, n)))
 
 
 class TestTailBoundAudit:

@@ -23,13 +23,13 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
-from . import convergence, identities, sampling
-from .distributions import GammaParams, race_probability_exact
+from . import identities
 from .laplace import OrderStatParams
+
+if TYPE_CHECKING:
+    from . import convergence
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
@@ -200,14 +200,6 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     return config
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _run_verify(config: RunConfig) -> tuple[int, str]:
     reports = identities.run_suite(config.max_n, config.max_r, config.s_grid)
     mismatches = [r for r in reports if not r.matched]
@@ -222,6 +214,8 @@ def _run_verify(config: RunConfig) -> tuple[int, str]:
 
 
 def _simulate_results(config: RunConfig) -> list[convergence.TestResult]:
+    from . import convergence, sampling
+
     results = []
     sid = 0
     for n in range(1, config.max_n + 1):
@@ -251,10 +245,14 @@ def _simulate_results(config: RunConfig) -> list[convergence.TestResult]:
 
 
 def _unit_exponential_cdf(t):
+    import numpy as np
+
     return -np.expm1(-np.asarray(t, dtype=np.float64))
 
 
 def _run_simulate(config: RunConfig) -> tuple[int, str]:
+    from . import convergence
+
     results = _simulate_results(config)
     failures = [t for t in results if not t.passed]
     if config.output_format == "json":
@@ -290,6 +288,8 @@ def _audit_rows(target: str, rows: Sequence[convergence.ConvergenceRow]) -> list
 
 
 def _run_converge(config: RunConfig) -> tuple[int, str]:
+    from . import convergence
+
     table_targets = [t for t in config.targets if t in _TABLES]
     want_tail = "tail" in config.targets
     if config.output_format == "csv" and want_tail:
@@ -331,9 +331,11 @@ def _run_converge(config: RunConfig) -> tuple[int, str]:
 
 
 def _run_race(config: RunConfig) -> tuple[int, str]:
+    from . import distributions, sampling
+
     p = OrderStatParams(config.race_n, config.race_k)
-    g = GammaParams(config.race_s, config.race_r)
-    exact = race_probability_exact(p, g)
+    g = distributions.GammaParams(config.race_s, config.race_r)
+    exact = distributions.race_probability_exact(p, g)
     stream = sampling.SeededStream(config.seed)
     estimate = sampling.estimate_race(stream, p, g, config.replicates, config.chunks)
     sigma = (float(exact) * (1.0 - float(exact))) ** 0.5
@@ -399,7 +401,15 @@ _COMMANDS = {
 def run(config: RunConfig) -> int:
     """Execute one configured command; returns the process exit code."""
     code, text = _COMMANDS[config.command](config)
-    _emit(config, text)
+    if not config.output_path:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(config.output_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"exporder: cannot write {config.output_path}: {exc.strerror or exc}\n")
+        return 2
     return code
 
 

@@ -6,6 +6,8 @@ public function that leaves ``__all__`` makes a traced run fail with a
 KeyError.  run.py also requires the identity times to add up to
 run_suite's time, counting only the ids in ``workloads.IDENTITY_IDS``; a
 report family outside that tuple fails every traced identity_sweep run.
+The monte_carlo workload counts the sample batches its observers see, so
+the command layer must reach each sampler through its module at call time.
 """
 
 import importlib.util
@@ -13,7 +15,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from exporder import identities
+import exporder
+from exporder import cli, identities, sampling
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -26,7 +29,8 @@ def _load(name: str):
     return module
 
 
-IDENTITY_IDS = _load("workloads").IDENTITY_IDS
+WORKLOADS = _load("workloads")
+IDENTITY_IDS = WORKLOADS.IDENTITY_IDS
 
 
 def _added_by_run_py(name: str) -> bool:
@@ -53,3 +57,26 @@ def test_every_per_layer_metric_is_traced():
 def test_every_report_id_is_a_benchmark_identity():
     reports = identities.run_suite(3, 2, (Fraction(1),))
     assert {r.identity_id for r in reports} - set(IDENTITY_IDS) == set()
+
+
+def test_tracer_sees_every_sampler_batch_and_restores_the_package():
+    config = cli.parse_args(["simulate", "--max-n", "2", "--replicates", "50"])
+    cli._simulate_results(config)  # a sampler bound on a first, untraced call would go unseen
+    originals = sampling.sample_zn, identities.run_suite
+    seen = []
+    tracer = _load("tracing").Tracer(
+        {name: lambda name, batch: seen.append((name, batch.n, batch.k)) for name in WORKLOADS.SAMPLERS}
+    )
+    try:
+        tracer.install()
+        wrapped = exporder.sample_zn, exporder.run_suite
+        cli._simulate_results(config)
+    finally:
+        tracer.uninstall()
+    cells = [(1, 1), (2, 1), (2, 2)]
+    assert sorted(seen) == sorted((name, n, k) for n, k in cells for name in WORKLOADS.SAMPLERS)
+    assert all(w is not o for w, o in zip(wrapped, originals))
+    assert exporder.sample_zn is sampling.sample_zn is originals[0]
+    assert exporder.run_suite is identities.run_suite is originals[1]
+    # a name cached in the package while the tracer was installed would keep its wrapper
+    assert {"sample_zn", "run_suite"}.isdisjoint(vars(exporder))

@@ -141,6 +141,18 @@ class TestVerifyCommand:
         assert target.read_text().count("\n") > 10
 
 
+class TestOutputPath:
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x"
+        code = cli.main(["race", "--replicates", "10", "--output", str(target)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"exporder: cannot write {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not target.exists()
+
+
 class TestSimulateCommand:
     def test_small_run(self, capsys):
         code, out = run_cli(

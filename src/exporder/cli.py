@@ -18,6 +18,7 @@ and no output mode prints timings.  EXPORDER_SEED (decimal, checked like
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -398,18 +399,39 @@ _COMMANDS = {
 }
 
 
+def _output_errno(path: str) -> Optional[int]:
+    """The errno that writing path would surely fail with, or None; touches no file."""
+    if os.path.exists(path):
+        if os.path.isdir(path):
+            return errno.EISDIR
+        return None if os.access(path, os.W_OK) else errno.EACCES
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    return None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+
+
+def _cannot_write(path: str, reason: str) -> int:
+    sys.stderr.write(f"exporder: cannot write {path}: {reason}\n")
+    return 2
+
+
 def run(config: RunConfig) -> int:
     """Execute one configured command; returns the process exit code."""
+    path = config.output_path
+    # a path that cannot be written fails before the work, and the file is
+    # opened only after it, so a failed command leaves an old file as it was
+    if path and (err := _output_errno(path)):
+        return _cannot_write(path, os.strerror(err))
     code, text = _COMMANDS[config.command](config)
-    if not config.output_path:
+    if not path:
         sys.stdout.write(text)
         return code
     try:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        sys.stderr.write(f"exporder: cannot write {config.output_path}: {exc.strerror or exc}\n")
-        return 2
+        return _cannot_write(path, exc.strerror or str(exc))
     return code
 
 

@@ -2,18 +2,24 @@
 
 All randomness comes from one place: a numpy PCG64 bit generator keyed by
 ``SeedSequence(seed, spawn_key=(stream_id,))``, and every variate is derived
-from ``Generator.random()`` uniforms by explicit inverse transforms
-(exponentials as -log1p(-U), each step applied in place on the uniform
-block, so a block of draws takes one buffer).  Order statistics are selected,
-not sorted: a min/max network pruned to the wanted sorted-order columns runs
-on small transposed row tiles, and only those columns are kept, as copies, so
-blocks are freed as soon as they are used (see ``_select_columns``; rows
-longer than the network ceiling are still sorted in place).  Min and max are
-exact, so the selected values are those a sort would give.  PCG64 and the
-uniform conversion are frozen, widely specified algorithms, so identical
-(seed, stream_id) reproduces the same sequence across runs and platforms;
-golden values in the test suite pin this down.  If the generator is ever
-swapped, regenerate the goldens.
+from ``Generator.random()`` uniforms by the inverse transform -log1p(-U).
+PCG64 and the uniform conversion are frozen, widely specified algorithms, so
+identical (seed, stream_id) reproduces the same sequence across runs and
+platforms; golden values in the test suite pin this down.  If the generator
+is ever swapped, regenerate the goldens.
+
+A sampler draws its (count, n) uniforms in tiles of at most _TILE_ROWS rows,
+each into one reused buffer (``_uniform_tiles``); the tiles are consecutive
+slices of the one draw, so tiling never moves a value in the stream.  Only
+the uniforms a sampler uses are transformed.  Order statistics are selected
+on the uniforms and only the kept columns are transformed: -log1p(-U) is
+non-decreasing, so it commutes with min and max and tied uniforms give equal
+values.  Selection is a min/max network pruned to the wanted sorted-order
+columns (``_select_columns``; rows longer than the network ceiling are
+sorted), so the selected values are those a sort of the exponentials would
+give.  Sums of exponentials are taken per tile in the order numpy's row sum
+uses.  No sampler holds a block of all its draws; _CHUNK_CELLS only fixes the
+race's stream layout.
 
 Two independent constructions of the k-th order statistic are provided
 (select the k-th of n draws; sum k exponentials with rates n-k+1..n), plus
@@ -45,12 +51,17 @@ __all__ = [
     "race_chunk_summary",
 ]
 
-# rows-per-chunk ceiling keeps matrices of n columns near ~32 MiB
+# the race's stream layout: each chunk of _CHUNK_CELLS // (n + r) rows draws
+# its n order-statistic columns, then its r gamma columns
 _CHUNK_CELLS = 1 << 22
 # longest row _select_columns runs its network on; longer rows are sorted
 _NETWORK_MAX_N = 12
-# rows per network tile, so the (n + 1, tile) buffer is (n + 1) * 128 KiB
-_TILE_ROWS = 1 << 14
+# rows per draw and network tile: at n = 12 the (n, tile) draw buffer and the
+# (n + 1, tile) network buffer hold 1.6 MiB together, inside a 2 MiB L2
+_TILE_ROWS = 1 << 13
+# longest row summed left to right: numpy's row sum adds rows of up to 7
+# values in that order, and longer ones pairwise
+_SEQUENTIAL_SUM_MAX = 7
 
 SAMPLER_IDS = frozenset(
     {"exponential", "direct_sort", "sum_representation", "spacing", "zn", "race_indicator"}
@@ -107,6 +118,9 @@ class SampleBatch:
         return float(np.mean(self.values))
 
     def variance(self) -> float:
+        """Unbiased sample variance; a single value has none."""
+        if self.values.size < 2:
+            raise ValueError("sample variance needs at least 2 values, got 1")
         return float(np.var(self.values, ddof=1))
 
 
@@ -116,26 +130,25 @@ def _check_count(count: int) -> int:
     return count
 
 
-def _exponentials(gen: np.random.Generator, shape) -> np.ndarray:
-    # inverse transform of uniforms on [0, 1); log1p keeps small draws exact
-    u = gen.random(shape)
+def _to_exponential(u: np.ndarray) -> np.ndarray:
+    # inverse transform of uniforms on [0, 1), in place; log1p keeps small draws exact
     np.negative(u, out=u)
     np.log1p(u, out=u)
     np.negative(u, out=u)
     return u
 
 
-def _row_chunks(count: int, n: int):
-    rows = max(1, _CHUNK_CELLS // max(1, n))
-    start = 0
-    while start < count:
-        yield min(rows, count - start)
-        start += rows
+def _uniform_tiles(gen: np.random.Generator, n: int, count: int):
+    """(start, tile) for consecutive row slices of one (count, n) uniform draw.
 
-
-def _exponential_blocks(gen: np.random.Generator, n: int, count: int):
-    for rows in _row_chunks(count, n):
-        yield _exponentials(gen, (rows, n))
+    Each tile has at most _TILE_ROWS rows and is drawn into one reused
+    buffer, so the caller must be done with a tile before the next one.
+    """
+    buffer = np.empty((min(count, _TILE_ROWS), n))
+    for start in range(0, count, _TILE_ROWS):
+        tile = buffer[: min(_TILE_ROWS, count - start)]
+        gen.random(out=tile)
+        yield start, tile
 
 
 def _batcher_pairs(n: int) -> list[tuple[int, int]]:
@@ -229,22 +242,47 @@ def _select_columns(block: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _selected_exponentials(gen: np.random.Generator, n: int, cols: tuple[int, ...], count: int):
+    """Columns cols of the row-sorted (count, n) exponential draw, as a (len(cols), count) array."""
+    out = np.empty((len(cols), count))
+    for start, u in _uniform_tiles(gen, n, count):
+        out[:, start : start + len(u)] = _select_columns(u, cols)
+    return _to_exponential(out)
+
+
+def _exponential_row_sums(gen: np.random.Generator, width: int, out: np.ndarray, rates=None):
+    """Row sums of a (len(out), width) exponential draw, each value divided by its rate first.
+
+    Bit for bit ``block.sum(axis=1)`` of the whole block: tiles split no row,
+    and rows of up to _SEQUENTIAL_SUM_MAX values are added left to right,
+    column by column, as numpy adds them.
+    """
+    for start, u in _uniform_tiles(gen, width, out.size):
+        _to_exponential(u)
+        if rates is not None:
+            u /= rates
+        row = out[start : start + len(u)]
+        if width > _SEQUENTIAL_SUM_MAX:
+            u.sum(axis=1, out=row)
+        else:
+            row[:] = u[:, 0]
+            for column in u.T[1:]:
+                row += column
+    return out
+
+
 def sample_exponential(stream: SeededStream, count: int) -> SampleBatch:
     """Unit-exponential draws via -log1p(-U)."""
     _check_count(count)
-    values = _exponentials(stream.generator(), count)
+    values = _to_exponential(stream.generator().random(count))
     return SampleBatch(values, 1, None, "exponential", stream)
 
 
 def sample_orderstat_direct(stream: SeededStream, p: OrderStatParams, count: int) -> SampleBatch:
     """k-th smallest of n unit exponentials, selected from one sample of n per replicate."""
     _check_count(count)
-    gen = stream.generator()
-    # copies, so each block is freed as the next one is drawn
-    parts = [
-        _select_columns(block, (p.k - 1,))[0] for block in _exponential_blocks(gen, p.n, count)
-    ]
-    return SampleBatch(np.concatenate(parts), p.n, p.k, "direct_sort", stream)
+    (values,) = _selected_exponentials(stream.generator(), p.n, (p.k - 1,), count)
+    return SampleBatch(values, p.n, p.k, "direct_sort", stream)
 
 
 def sample_orderstat_representation(
@@ -252,13 +290,9 @@ def sample_orderstat_representation(
 ) -> SampleBatch:
     """Same law built the other way: sum of k exponentials with rates n-k+1..n."""
     _check_count(count)
-    gen = stream.generator()
     rates = np.arange(p.n - p.k + 1, p.n + 1, dtype=np.float64)
-    parts = []
-    for e in _exponential_blocks(gen, p.k, count):
-        e /= rates
-        parts.append(e.sum(axis=1))
-    return SampleBatch(np.concatenate(parts), p.n, p.k, "sum_representation", stream)
+    values = _exponential_row_sums(stream.generator(), p.k, np.empty(count), rates)
+    return SampleBatch(values, p.n, p.k, "sum_representation", stream)
 
 
 def sample_normalized_spacings(
@@ -268,16 +302,13 @@ def sample_normalized_spacings(
     p = OrderStatParams(n, k)
     _check_count(count)
     gen = stream.generator()
-    parts = []
-    for block in _exponential_blocks(gen, p.n, count):
-        if p.k == 1:
-            spacing = _select_columns(block, (0,))[0]
-        else:
-            below, spacing = _select_columns(block, (p.k - 2, p.k - 1))
-            spacing -= below
-        spacing *= p.n - p.k + 1
-        parts.append(spacing)
-    return SampleBatch(np.concatenate(parts), p.n, p.k, "spacing", stream)
+    if p.k == 1:
+        (spacing,) = _selected_exponentials(gen, p.n, (0,), count)
+    else:
+        below, spacing = _selected_exponentials(gen, p.n, (p.k - 2, p.k - 1), count)
+        spacing -= below
+    spacing *= p.n - p.k + 1
+    return SampleBatch(spacing, p.n, p.k, "spacing", stream)
 
 
 def sample_zn(stream: SeededStream, n: int, count: int) -> SampleBatch:
@@ -285,9 +316,12 @@ def sample_zn(stream: SeededStream, n: int, count: int) -> SampleBatch:
     if not (_is_int(n) and n >= 1):
         raise ValueError(f"sample size must be an integer >= 1, got {n}")
     _check_count(count)
-    gen = stream.generator()
-    parts = [block.max(axis=1) - np.log(n) for block in _exponential_blocks(gen, n, count)]
-    return SampleBatch(np.concatenate(parts), n, None, "zn", stream)
+    values = np.empty(count)
+    for start, u in _uniform_tiles(stream.generator(), n, count):
+        u.max(axis=1, out=values[start : start + len(u)])
+    _to_exponential(values)
+    values -= np.log(n)
+    return SampleBatch(values, n, None, "zn", stream)
 
 
 def sample_race_indicators(
@@ -296,24 +330,27 @@ def sample_race_indicators(
     """Per replicate: 1.0 if an independent gamma draw beats the order statistic.
 
     The gamma variable with integer shape r is the sum of r unit
-    exponentials divided by the rate, drawn after the order-statistic
-    sample from the same stream.
+    exponentials divided by the rate.  Per chunk of the stream (see
+    _CHUNK_CELLS), the order-statistic sample is drawn first, then the gamma
+    draws.
     """
     _check_count(count)
     gen = stream.generator()
     rate = _float_rate(g.s)
-    parts = []
-    for rows in _row_chunks(count, p.n + g.r):
-        # a copy, so the block is freed before the gamma draws
-        t = _select_columns(_exponentials(gen, (rows, p.n)), (p.k - 1,))[0]
-        x = _exponentials(gen, (rows, g.r)).sum(axis=1)
+    values = np.empty(count)
+    rows = max(1, _CHUNK_CELLS // (p.n + g.r))
+    for start in range(0, count, rows):
+        # the gamma draws, then the indicators, go to this chunk's slice of the output
+        x = values[start : start + rows]
+        (t,) = _selected_exponentials(gen, p.n, (p.k - 1,), x.size)
+        _exponential_row_sums(gen, g.r, x)
         # a rate that rounds to 0.0 would make x / rate warn, and nan at x = 0
         if rate:
             x /= rate
         else:
             x.fill(np.inf)
-        parts.append((x > t).astype(np.float64))
-    return SampleBatch(np.concatenate(parts), p.n, p.k, "race_indicator", stream)
+        np.greater(x, t, out=x)
+    return SampleBatch(values, p.n, p.k, "race_indicator", stream)
 
 
 def race_chunk_summary(

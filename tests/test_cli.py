@@ -152,6 +152,30 @@ class TestOutputPath:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_unwritable_output_fails_before_the_command(
+        self, tmp_path, capsys, monkeypatch, missing
+    ):
+        calls = []
+        monkeypatch.setitem(cli._COMMANDS, "race", lambda config: calls.append(config) or (0, ""))
+        target = tmp_path / "missing" / "x" if missing else tmp_path
+        assert cli.main(["race", "--output", str(target)]) == 2
+        assert calls == []
+        reason = "No such file or directory" if missing else "Is a directory"
+        assert capsys.readouterr().err == f"exporder: cannot write {target}: {reason}\n"
+
+    def test_failed_command_keeps_an_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "old.json"
+        target.write_bytes(b"old bytes")
+
+        def failing(config):
+            raise RuntimeError("command failed")
+
+        monkeypatch.setitem(cli._COMMANDS, "race", failing)
+        with pytest.raises(RuntimeError):
+            cli.main(["race", "--output", str(target)])
+        assert target.read_bytes() == b"old bytes"
+
 
 class TestSimulateCommand:
     def test_small_run(self, capsys):

@@ -131,16 +131,16 @@ class TestOrderStatSamplers:
         assert abs(batch.variance() - target) / target < 0.05
 
     def test_direct_keeps_one_block_alive(self, monkeypatch):
-        """Over 100 chunks only the kept column of each block stays in memory."""
-        monkeypatch.setattr(sampling, "_CHUNK_CELLS", 6 * 1000)
+        """Over 100 tiles only the kept column of each tile stays in memory."""
+        monkeypatch.setattr(sampling, "_TILE_ROWS", 1000)
         tracemalloc.start()
         try:
             sample_orderstat_direct(SeededStream(7), OrderStatParams(6, 3), 10**5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # two 0.76 MiB copies of the output and one 47 KiB block; pinning
-        # every block would hold 4.6 MiB
+        # the 0.76 MiB output and one 47 KiB tile with its network buffer;
+        # pinning every tile would hold 4.6 MiB
         assert peak < 2 * 2**20
 
     def test_metadata(self):
@@ -219,6 +219,53 @@ class TestSelectColumns:
             assert race_values.tobytes() == np.concatenate(race).tobytes()
 
 
+TILE = sampling._TILE_ROWS
+
+
+def _float_run(start: float, length: int) -> np.ndarray:
+    """length consecutive doubles from start upwards."""
+    bits = np.array([start]).view(np.int64)[0]
+    return (bits + np.arange(length, dtype=np.int64)).view(np.float64)
+
+
+class TestTiledDraws:
+    def test_transform_is_monotone(self):
+        """-log1p(-u) never decreases, so selecting on uniforms selects the same draws."""
+        runs = [np.sort(SeededStream(3).generator().random(10**6)), _float_run(0.0, 1 << 16)]
+        runs += [_float_run(1.0 - (1 << 16) * 2.0**-53, 1 << 16)]  # up to the last float below 1
+        runs += [_float_run(2.0**-e - (1 << 15) * 2.0**(-e - 53), 1 << 16) for e in range(1, 61)]
+        for u in runs:
+            assert np.all(np.diff(sampling._to_exponential(u.copy())) >= 0)
+
+    @pytest.mark.parametrize("count", [1, TILE - 1, TILE, TILE + 1])
+    def test_tiles_are_one_draw(self, count):
+        stream, n = SeededStream(9, 4), 3
+        tiled = [(s, u.copy()) for s, u in sampling._uniform_tiles(stream.generator(), n, count)]
+        assert [start for start, _ in tiled] == list(range(0, count, TILE))
+        tiles = [u for _, u in tiled]
+        assert max(len(u) for u in tiles) <= TILE
+        expected = stream.generator().random((count, n))
+        assert np.concatenate(tiles).tobytes() == expected.tobytes()
+
+    def test_representation_equals_block_sum(self, monkeypatch):
+        """Across the sequential-sum ceiling and many tiles, bit for bit the whole-block sum."""
+        monkeypatch.setattr(sampling, "_TILE_ROWS", 64)
+        stream, n, count = SeededStream(23, 1), 12, 1000
+        for k in range(1, n + 1):
+            e = -np.log1p(-stream.generator().random((count, k)))
+            e /= np.arange(n - k + 1, n + 1, dtype=np.float64)
+            got = sample_orderstat_representation(stream, OrderStatParams(n, k), count).values
+            assert got.tobytes() == e.sum(axis=1).tobytes(), k
+
+    @pytest.mark.parametrize("n", range(1, CEILING + 3))
+    def test_zn_equals_block_max(self, n, monkeypatch):
+        monkeypatch.setattr(sampling, "_TILE_ROWS", 64)
+        stream, count = SeededStream(29, n), 1000
+        block = -np.log1p(-stream.generator().random((count, n)))
+        expected = block.max(axis=1) - np.log(n)
+        assert sample_zn(stream, n, count).values.tobytes() == expected.tobytes()
+
+
 class TestSpacings:
     def test_k1_n1_is_raw_exponential(self):
         e = sample_exponential(SeededStream(55), 400)
@@ -254,16 +301,16 @@ class TestZnSampler:
             sample_zn(SeededStream(1), True, 10)
 
     def test_chunked_draws_match_single_pass(self):
-        """Chunking is an implementation detail: the stream order is fixed."""
+        """Tiling is an implementation detail: the stream order is fixed."""
         import exporder.sampling as sampling
 
         z1 = sample_zn(SeededStream(6, 6), 40, 500)
-        old = sampling._CHUNK_CELLS
-        sampling._CHUNK_CELLS = 512  # force many chunks
+        old = sampling._TILE_ROWS
+        sampling._TILE_ROWS = 12  # force many tiles
         try:
             z2 = sample_zn(SeededStream(6, 6), 40, 500)
         finally:
-            sampling._CHUNK_CELLS = old
+            sampling._TILE_ROWS = old
         assert np.array_equal(z1.values, z2.values)
 
     def test_ks_against_exact_finite_n_cdf(self):
@@ -330,6 +377,16 @@ class TestRace:
             tracemalloc.stop()
         assert peak < 36 * 2**20
 
+    def test_memory_without_a_draw_block(self):
+        """Only the 8 MiB order statistic and the 8 MiB indicators are whole arrays."""
+        tracemalloc.start()
+        try:
+            sample_race_indicators(SeededStream(7), OrderStatParams(3, 2), GammaParams(1, 1), 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
     def test_chunks_validated(self):
         with pytest.raises(ValueError):
             estimate_race(SeededStream(1), OrderStatParams(1, 1), GammaParams(1, 1), 10, chunks=11)
@@ -354,3 +411,11 @@ class TestBatchValidation:
     def test_every_sampler_id_accepted(self, sampler_id):
         batch = SampleBatch(np.array([1.0]), 1, None, sampler_id, SeededStream(1))
         assert batch.sampler_id == sampler_id
+
+    def test_variance_needs_two_values(self):
+        def batch(*values):
+            return SampleBatch(np.array(values), 1, None, "exponential", SeededStream(1))
+
+        with pytest.raises(ValueError, match="at least 2 values"):
+            batch(1.0).variance()
+        assert batch(1.0, 3.0).variance() == 2.0

@@ -149,10 +149,11 @@ def ks_two_sample(
 
     D is the largest gap between the two empirical cdfs over the pooled
     points.  Each sample is sorted in its half of one pooled buffer, and one
-    stable argsort merges the two sorted runs; running counts of each
-    sample's points along the merge give the two cdfs' counts.  Of each run
-    of equal pooled values only the last index counts: there both counts
-    equal the number of points <= that value, so ties are handled exactly.
+    stable argsort merges the two sorted runs; a running count of
+    first-sample points along the merge gives the first cdf's count, and the
+    merge position minus it the second's.  Of each run of equal pooled
+    values only the last index counts: there both counts equal the number of
+    points <= that value, so ties are handled exactly.
     """
     na, nb = a.values.size, b.values.size
     pooled = np.concatenate([a.values, b.values])
@@ -163,17 +164,16 @@ def ks_two_sample(
     _check_not_degenerate(xb, "second sample")
     order = np.argsort(pooled, kind="stable")
     merged = pooled[order]
+    # in place where possible: each fresh pooled-size array costs page faults
+    ca = (order < na).astype(np.intp)
+    np.cumsum(ca, out=ca)
+    cb = np.arange(1, pooled.size + 1)
+    cb -= ca
     last = np.empty(pooled.size, dtype=bool)
     np.not_equal(merged[1:], merged[:-1], out=last[:-1])
     last[-1] = True
-    # pooled, merged and order are spent below, so the counts and the gap
-    # reuse their memory: each fresh pooled-size array costs page faults
-    ca = (order < na).astype(np.intp)
-    np.cumsum(ca, out=ca)
-    cb = np.greater_equal(order, na, out=order)
-    np.cumsum(cb, out=cb)
-    gap = np.divide(ca, na, out=pooled)
-    gap -= np.divide(cb, nb, out=merged)
+    gap = ca / na
+    gap -= cb / nb
     np.abs(gap, out=gap)
     d = float(np.max(gap, where=last, initial=0.0))
     return _ks_result(test_id, d, na * nb / (na + nb), alpha)

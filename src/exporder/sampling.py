@@ -8,8 +8,8 @@ identical (seed, stream_id) reproduces the same sequence across runs and
 platforms; golden values in the test suite pin this down.  If the generator
 is ever swapped, regenerate the goldens.
 
-A sampler draws its (count, n) uniforms in tiles of at most _TILE_ROWS rows,
-each into one reused buffer (``_uniform_tiles``); the tiles are consecutive
+A sampler draws its (count, n) uniforms in tiles of at most _TILE_ROWS rows
+(fewer for rows longer than the network ceiling), each into one reused buffer (``_uniform_tiles``); the tiles are consecutive
 slices of the one draw, so tiling never moves a value in the stream.  Only
 the uniforms a sampler uses are transformed.  Order statistics are selected
 on the uniforms and only the kept columns are transformed: -log1p(-U) is
@@ -17,8 +17,8 @@ non-decreasing, so it commutes with min and max and tied uniforms give equal
 values.  Selection is a min/max network pruned to the wanted sorted-order
 columns (``_select_columns``; rows longer than the network ceiling are
 sorted), so the selected values are those a sort of the exponentials would
-give.  Sums of exponentials are taken per tile in the order numpy's row sum
-uses.  No sampler holds a block of all its draws; _CHUNK_CELLS only fixes the
+give.  Sums of exponentials are row sums of each tile, the same as row sums
+of the whole draw.  No sampler holds a block of all its draws; _CHUNK_CELLS only fixes the
 race's stream layout.
 
 Two independent constructions of the k-th order statistic are provided
@@ -56,12 +56,9 @@ __all__ = [
 _CHUNK_CELLS = 1 << 22
 # longest row _select_columns runs its network on; longer rows are sorted
 _NETWORK_MAX_N = 12
-# rows per draw and network tile: at n = 12 the (n, tile) draw buffer and the
-# (n + 1, tile) network buffer hold 1.6 MiB together, inside a 2 MiB L2
-_TILE_ROWS = 1 << 13
-# longest row summed left to right: numpy's row sum adds rows of up to 7
-# values in that order, and longer ones pairwise
-_SEQUENTIAL_SUM_MAX = 7
+# rows per draw and network tile, so a draw tile holds at most 12 * 128 KiB
+# and the (n + 1, tile) network buffer (n + 1) * 128 KiB
+_TILE_ROWS = 1 << 14
 
 SAMPLER_IDS = frozenset(
     {"exponential", "direct_sort", "sum_representation", "spacing", "zn", "race_indicator"}
@@ -120,7 +117,7 @@ class SampleBatch:
     def variance(self) -> float:
         """Unbiased sample variance; a single value has none."""
         if self.values.size < 2:
-            raise ValueError("sample variance needs at least 2 values, got 1")
+            raise ValueError(f"sample variance needs at least 2 values, got {self.values.size}")
         return float(np.var(self.values, ddof=1))
 
 
@@ -141,12 +138,15 @@ def _to_exponential(u: np.ndarray) -> np.ndarray:
 def _uniform_tiles(gen: np.random.Generator, n: int, count: int):
     """(start, tile) for consecutive row slices of one (count, n) uniform draw.
 
-    Each tile has at most _TILE_ROWS rows and is drawn into one reused
-    buffer, so the caller must be done with a tile before the next one.
+    Each tile is drawn into one reused buffer, so the caller must be done
+    with a tile before the next one.  Rows up to the network ceiling come
+    _TILE_ROWS to a tile; longer rows come fewer to a tile, so that a tile
+    never holds more values than one at the ceiling, whatever n is.
     """
-    buffer = np.empty((min(count, _TILE_ROWS), n))
-    for start in range(0, count, _TILE_ROWS):
-        tile = buffer[: min(_TILE_ROWS, count - start)]
+    rows = max(1, min(_TILE_ROWS, _TILE_ROWS * _NETWORK_MAX_N // n))
+    buffer = np.empty((min(count, rows), n))
+    for start in range(0, count, rows):
+        tile = buffer[: min(rows, count - start)]
         gen.random(out=tile)
         yield start, tile
 
@@ -253,21 +253,13 @@ def _selected_exponentials(gen: np.random.Generator, n: int, cols: tuple[int, ..
 def _exponential_row_sums(gen: np.random.Generator, width: int, out: np.ndarray, rates=None):
     """Row sums of a (len(out), width) exponential draw, each value divided by its rate first.
 
-    Bit for bit ``block.sum(axis=1)`` of the whole block: tiles split no row,
-    and rows of up to _SEQUENTIAL_SUM_MAX values are added left to right,
-    column by column, as numpy adds them.
+    Bit for bit ``block.sum(axis=1)`` of the whole block, since tiles split no row.
     """
     for start, u in _uniform_tiles(gen, width, out.size):
         _to_exponential(u)
         if rates is not None:
             u /= rates
-        row = out[start : start + len(u)]
-        if width > _SEQUENTIAL_SUM_MAX:
-            u.sum(axis=1, out=row)
-        else:
-            row[:] = u[:, 0]
-            for column in u.T[1:]:
-                row += column
+        u.sum(axis=1, out=out[start : start + len(u)])
     return out
 
 

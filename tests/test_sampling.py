@@ -247,8 +247,28 @@ class TestTiledDraws:
         expected = stream.generator().random((count, n))
         assert np.concatenate(tiles).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            lambda: sample_zn(SeededStream(5, 3), 1000, 10**5),
+            lambda: sample_orderstat_direct(SeededStream(5, 4), OrderStatParams(1000, 500), 10**5),
+        ],
+        ids=["zn", "direct"],
+    )
+    def test_wide_rows_keep_tiles_small(self, sample):
+        """At n = 1000 a tile holds no more values than one at the network ceiling."""
+        tracemalloc.start()
+        try:
+            sample()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 0.76 MiB output and one 1.5 MiB tile, plus ~0.8 MiB on a first
+        # call in a fresh process; _TILE_ROWS rows of 1000 values would hold 125 MiB
+        assert peak < 4 * 2**20
+
     def test_representation_equals_block_sum(self, monkeypatch):
-        """Across the sequential-sum ceiling and many tiles, bit for bit the whole-block sum."""
+        """For k = 1..12 and over many tiles, bit for bit the whole-block sum."""
         monkeypatch.setattr(sampling, "_TILE_ROWS", 64)
         stream, n, count = SeededStream(23, 1), 12, 1000
         for k in range(1, n + 1):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -130,7 +131,13 @@ def _targets(text: str) -> tuple:
     return targets
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every parse.
+
+    Parsing keeps no state in the parser: every parse fills a fresh
+    namespace, and the defaults are immutable.
+    """
     parser = argparse.ArgumentParser(
         prog="exporder",
         description="Exact identities and seeded simulations for exponential order statistics.",

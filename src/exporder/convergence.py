@@ -139,6 +139,11 @@ def ks_one_sample(
     return _ks_result(test_id, max(d_plus, d_minus, 0.0), n, alpha)
 
 
+def _spent_float64(buffer: np.ndarray) -> np.ndarray:
+    """buffer, if float64, for a float64 result of its size; else a fresh array."""
+    return buffer if buffer.dtype == np.float64 else np.empty(buffer.size)
+
+
 def ks_two_sample(
     a: SampleBatch,
     b: SampleBatch,
@@ -149,11 +154,18 @@ def ks_two_sample(
 
     D is the largest gap between the two empirical cdfs over the pooled
     points.  Each sample is sorted in its half of one pooled buffer, and one
-    stable argsort merges the two sorted runs; a running count of
-    first-sample points along the merge gives the first cdf's count, and the
-    merge position minus it the second's.  Of each run of equal pooled
-    values only the last index counts: there both counts equal the number of
-    points <= that value, so ties are handled exactly.
+    stable argsort merges the two sorted runs; running counts of each
+    sample's points along the merge give the two cdfs' counts.  Of each run
+    of equal pooled values only the last index counts: there both counts
+    equal the number of points <= that value, so ties are handled exactly.
+
+    Past the merge, the pooled, merged and order buffers are spent, and the
+    counts and the gap reuse them rather than fresh pooled-size arrays,
+    whose pages would fault in again on every call: the counts go into
+    order, the first cdf's count over na into pooled and the second's over
+    nb into merged.  pooled and merged take float64 only when the samples
+    are float64; for another dtype those two are fresh float64 arrays, so D
+    is the same float for every dtype.
     """
     na, nb = a.values.size, b.values.size
     pooled = np.concatenate([a.values, b.values])
@@ -164,16 +176,13 @@ def ks_two_sample(
     _check_not_degenerate(xb, "second sample")
     order = np.argsort(pooled, kind="stable")
     merged = pooled[order]
-    # in place where possible: each fresh pooled-size array costs page faults
-    ca = (order < na).astype(np.intp)
-    np.cumsum(ca, out=ca)
-    cb = np.arange(1, pooled.size + 1)
-    cb -= ca
     last = np.empty(pooled.size, dtype=bool)
     np.not_equal(merged[1:], merged[:-1], out=last[:-1])
     last[-1] = True
-    gap = ca / na
-    gap -= cb / nb
+    in_a = order < na
+    gap = np.divide(np.cumsum(in_a, out=order), na, out=_spent_float64(pooled))
+    np.logical_not(in_a, out=in_a)
+    gap -= np.divide(np.cumsum(in_a, out=order), nb, out=_spent_float64(merged))
     np.abs(gap, out=gap)
     d = float(np.max(gap, where=last, initial=0.0))
     return _ks_result(test_id, d, na * nb / (na + nb), alpha)

@@ -9,17 +9,28 @@ platforms; golden values in the test suite pin this down.  If the generator
 is ever swapped, regenerate the goldens.
 
 A sampler draws its (count, n) uniforms in tiles of at most _TILE_ROWS rows
-(fewer for rows longer than the network ceiling), each into one reused buffer (``_uniform_tiles``); the tiles are consecutive
-slices of the one draw, so tiling never moves a value in the stream.  Only
-the uniforms a sampler uses are transformed.  Order statistics are selected
-on the uniforms and only the kept columns are transformed: -log1p(-U) is
-non-decreasing, so it commutes with min and max and tied uniforms give equal
-values.  Selection is a min/max network pruned to the wanted sorted-order
-columns (``_select_columns``; rows longer than the network ceiling are
-sorted), so the selected values are those a sort of the exponentials would
-give.  Sums of exponentials are row sums of each tile, the same as row sums
-of the whole draw.  No sampler holds a block of all its draws; _CHUNK_CELLS only fixes the
-race's stream layout.
+(fewer for rows longer than the network ceiling), each into one reused
+buffer (``_uniform_tiles``); the tiles are consecutive slices of the one
+draw, so tiling never moves a value in the stream.  Only the uniforms a
+sampler uses are transformed.  Order statistics are selected on the uniforms
+and only the kept columns are transformed: -log1p(-U) is non-decreasing, so
+it commutes with min and max and tied uniforms give equal values.  Selection
+is a min/max network pruned to the wanted sorted-order columns
+(``_select_columns``; rows longer than the network ceiling are sorted), so
+the selected values are those a sort of the exponentials would give.  Sums
+of exponentials are row sums of each tile, the same as row sums of the whole
+draw.  No sampler holds a block of all its draws.
+
+The race lays out each stream in segments of _CHUNK_CELLS // (n + r) rows:
+a segment's n order-statistic columns are drawn first, then its r gamma
+columns.  Every race entry point runs one kernel (``_race_tiles``) over a
+list of (stream, replicates) chunks.  Segments that fit are drawn, stream
+after stream, into one shared pair of tiles, and selection, the transform,
+the rate division and the comparison run once per full tile, however many
+chunks filled it; a segment longer than a tile keeps its selected column
+while its gamma columns are drawn.  So the chunk count changes only which
+stream ids feed the draws, never the per-stream order, and a chunk costs one
+generator, not a pass of the kernel.
 
 Two independent constructions of the k-th order statistic are provided
 (select the k-th of n draws; sum k exponentials with rates n-k+1..n), plus
@@ -51,7 +62,7 @@ __all__ = [
     "race_chunk_summary",
 ]
 
-# the race's stream layout: each chunk of _CHUNK_CELLS // (n + r) rows draws
+# the race's stream layout: each segment of _CHUNK_CELLS // (n + r) rows draws
 # its n order-statistic columns, then its r gamma columns
 _CHUNK_CELLS = 1 << 22
 # longest row _select_columns runs its network on; longer rows are sorted
@@ -135,6 +146,12 @@ def _to_exponential(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _tile_rows(width: int) -> int:
+    """Rows per tile for rows of width values: a tile holds at most _TILE_ROWS
+    rows of the network ceiling's width."""
+    return max(1, min(_TILE_ROWS, _TILE_ROWS * _NETWORK_MAX_N // width))
+
+
 def _uniform_tiles(gen: np.random.Generator, n: int, count: int):
     """(start, tile) for consecutive row slices of one (count, n) uniform draw.
 
@@ -143,7 +160,7 @@ def _uniform_tiles(gen: np.random.Generator, n: int, count: int):
     _TILE_ROWS to a tile; longer rows come fewer to a tile, so that a tile
     never holds more values than one at the ceiling, whatever n is.
     """
-    rows = max(1, min(_TILE_ROWS, _TILE_ROWS * _NETWORK_MAX_N // n))
+    rows = _tile_rows(n)
     buffer = np.empty((min(count, rows), n))
     for start in range(0, count, rows):
         tile = buffer[: min(rows, count - start)]
@@ -250,19 +267,6 @@ def _selected_exponentials(gen: np.random.Generator, n: int, cols: tuple[int, ..
     return _to_exponential(out)
 
 
-def _exponential_row_sums(gen: np.random.Generator, width: int, out: np.ndarray, rates=None):
-    """Row sums of a (len(out), width) exponential draw, each value divided by its rate first.
-
-    Bit for bit ``block.sum(axis=1)`` of the whole block, since tiles split no row.
-    """
-    for start, u in _uniform_tiles(gen, width, out.size):
-        _to_exponential(u)
-        if rates is not None:
-            u /= rates
-        u.sum(axis=1, out=out[start : start + len(u)])
-    return out
-
-
 def sample_exponential(stream: SeededStream, count: int) -> SampleBatch:
     """Unit-exponential draws via -log1p(-U)."""
     _check_count(count)
@@ -283,7 +287,12 @@ def sample_orderstat_representation(
     """Same law built the other way: sum of k exponentials with rates n-k+1..n."""
     _check_count(count)
     rates = np.arange(p.n - p.k + 1, p.n + 1, dtype=np.float64)
-    values = _exponential_row_sums(stream.generator(), p.k, np.empty(count), rates)
+    values = np.empty(count)
+    # bit for bit block.sum(axis=1) of the whole (count, k) block: tiles split no row
+    for start, u in _uniform_tiles(stream.generator(), p.k, count):
+        _to_exponential(u)
+        u /= rates
+        u.sum(axis=1, out=values[start : start + len(u)])
     return SampleBatch(values, p.n, p.k, "sum_representation", stream)
 
 
@@ -316,32 +325,72 @@ def sample_zn(stream: SeededStream, n: int, count: int) -> SampleBatch:
     return SampleBatch(values, n, None, "zn", stream)
 
 
+def _gamma_beats(e: np.ndarray, t: np.ndarray, rate: float) -> np.ndarray:
+    """x > t per row, for x the row sum of the exponentials of uniforms e over rate."""
+    x = _to_exponential(e).sum(axis=1)
+    # a rate that rounds to 0.0 would make x / rate warn, and nan at x = 0
+    if rate:
+        x /= rate
+    else:
+        x.fill(np.inf)
+    return np.greater(x, t)
+
+
+def _race_tiles(chunks, p: OrderStatParams, g: GammaParams):
+    """The race indicators (bool) of (stream, count) chunks, in tiles, in chunk order.
+
+    Each stream is drawn segment by segment (see the module docstring).  A
+    segment that fits is drawn whole into the shared tiles, its n columns
+    and then its r columns; the tiles are finished once the next segment
+    does not fit.  A longer segment is drawn by itself: its selected column
+    is kept whole, and its gamma columns follow in tiles.
+    """
+    rate = _float_rate(g.s)
+    cols = (p.k - 1,)
+    segment = max(1, _CHUNK_CELLS // (p.n + g.r))
+    rows = _tile_rows(p.n + g.r)
+    u, e = np.empty((rows, p.n)), np.empty((rows, g.r))
+
+    def finish(fill):
+        (t,) = _select_columns(u[:fill], cols)
+        return _gamma_beats(e[:fill], _to_exponential(t), rate)
+
+    fill = 0
+    for stream, count in chunks:
+        gen = stream.generator()
+        for start in range(0, count, segment):
+            m = min(segment, count - start)
+            if fill and fill + m > rows:
+                yield finish(fill)
+                fill = 0
+            if m > rows:
+                (t,) = _selected_exponentials(gen, p.n, cols, m)
+                for lo, tile in _uniform_tiles(gen, g.r, m):
+                    yield _gamma_beats(tile, t[lo : lo + len(tile)], rate)
+            else:
+                gen.random(out=u[fill : fill + m])
+                gen.random(out=e[fill : fill + m])
+                fill += m
+    if fill:
+        yield finish(fill)
+
+
+def _race_hits(chunks, p: OrderStatParams, g: GammaParams) -> int:
+    return sum(int(np.count_nonzero(hits)) for hits in _race_tiles(chunks, p, g))
+
+
 def sample_race_indicators(
     stream: SeededStream, p: OrderStatParams, g: GammaParams, count: int
 ) -> SampleBatch:
     """Per replicate: 1.0 if an independent gamma draw beats the order statistic.
 
     The gamma variable with integer shape r is the sum of r unit
-    exponentials divided by the rate.  Per chunk of the stream (see
+    exponentials divided by the rate.  Per segment of the stream (see
     _CHUNK_CELLS), the order-statistic sample is drawn first, then the gamma
     draws.
     """
     _check_count(count)
-    gen = stream.generator()
-    rate = _float_rate(g.s)
-    values = np.empty(count)
-    rows = max(1, _CHUNK_CELLS // (p.n + g.r))
-    for start in range(0, count, rows):
-        # the gamma draws, then the indicators, go to this chunk's slice of the output
-        x = values[start : start + rows]
-        (t,) = _selected_exponentials(gen, p.n, (p.k - 1,), x.size)
-        _exponential_row_sums(gen, g.r, x)
-        # a rate that rounds to 0.0 would make x / rate warn, and nan at x = 0
-        if rate:
-            x /= rate
-        else:
-            x.fill(np.inf)
-        np.greater(x, t, out=x)
+    values = np.concatenate(list(_race_tiles([(stream, count)], p, g)), dtype=np.float64)
     return SampleBatch(values, p.n, p.k, "race_indicator", stream)
 
 
@@ -349,8 +398,8 @@ def race_chunk_summary(
     stream: SeededStream, p: OrderStatParams, g: GammaParams, count: int
 ) -> tuple[int, int]:
     """(hits, replicates) for one chunk; summaries add up order-independently."""
-    batch = sample_race_indicators(stream, p, g, count)
-    return int(batch.values.sum()), count
+    _check_count(count)
+    return _race_hits([(stream, count)], p, g), count
 
 
 def estimate_race(
@@ -364,15 +413,18 @@ def estimate_race(
 
     With chunks > 1 the work is split over consecutive stream ids
     (stream_id, stream_id + 1, ...); hit counts are integers, so the
-    reduction is exact and independent of chunk evaluation order.
+    reduction is exact and independent of chunk evaluation order.  All
+    chunks share the kernel's tiles, so the chunk count changes the stream
+    ids, not the number of kernel passes.
     """
     _check_count(count)
     if not (_is_int(chunks) and 1 <= chunks <= count):
         raise ValueError(f"chunks must be an integer in [1, count], got {chunks}")
-    base = count // chunks
-    sizes = [base + (1 if c < count % chunks else 0) for c in range(chunks)]
-    hits = 0
-    for c, size in enumerate(sizes):
-        h, _ = race_chunk_summary(stream.substream(c), p, g, size)
-        hits += h
-    return hits / count
+    if stream.stream_id + chunks > 2**64:
+        raise ValueError(
+            f"{chunks} chunks need stream ids {stream.stream_id}..{stream.stream_id + chunks - 1},"
+            " beyond 64 bits"
+        )
+    base, extra = divmod(count, chunks)
+    sizes = ((stream.substream(c), base + (c < extra)) for c in range(chunks))
+    return _race_hits(sizes, p, g) / count

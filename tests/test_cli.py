@@ -89,6 +89,60 @@ class TestParsing:
         assert exc.value.code == 2
         assert "must be <=" in capsys.readouterr().err
 
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_parses_give_equal_configs(self, monkeypatch):
+        """The shared parser carries nothing from one parse into the next."""
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        argvs = [
+            ["race", "--n", "5", "--k", "3", "--s", "7/2", "--chunks", "4"],
+            ["race"],
+            ["simulate", "--max-n", "3", "--format", "json"],
+            ["simulate"],
+            ["converge", "--targets", "gamma", "--n", "10,20"],
+            ["converge"],
+            ["verify", "--s", "1/2"],
+            ["verify"],
+        ]
+        first = [parse(argv) for argv in argvs]
+        assert [parse(argv) for argv in reversed(argvs)] == first[::-1]
+        assert first[1] == cli.RunConfig("race", replicates=1_000_000)
+        assert first[3] == cli.RunConfig("simulate", max_n=6)
+        assert first[5] == cli.RunConfig("converge")
+        assert first[7] == cli.RunConfig("verify")
+
+    def test_env_seed_read_on_every_parse(self, monkeypatch):
+        for seed in ("1", "2"):
+            monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
+            assert parse(["race"]).seed == int(seed)
+        monkeypatch.delenv(cli.SEED_ENV_VAR)
+        assert parse(["race"]).seed == cli.DEFAULT_SEED
+
+    def test_usage_errors_exit_2_on_every_parse(self):
+        good = parse(["race", "--n", "4"])
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                parse(["race", "--n", "0"])
+            assert exc.value.code == 2
+        assert parse(["race", "--n", "4"]) == good
+
+    def test_all_builds_its_sub_configs(self, monkeypatch):
+        seen = []
+        for command in ("verify", "simulate", "converge"):
+            monkeypatch.setitem(cli._COMMANDS, command, lambda config: (seen.append(config), (0, ""))[1])
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        for _ in range(2):
+            seen.clear()
+            code, _ = cli._run_all(parse(["all", "--seed", "5", "--replicates", "10", "--format", "json"]))
+            assert code == 0
+            common = dict(seed=5, replicates=10, output_format="json")
+            assert seen == [
+                cli.RunConfig("verify", **common),
+                cli.RunConfig("simulate", max_n=6, **common),
+                cli.RunConfig("converge", **common),
+            ]
+
     def test_race_bounds_are_inclusive(self):
         config = parse(["race", "--n", "4", "--k", "4", "--replicates", "20", "--chunks", "20"])
         assert (config.race_k, config.chunks) == (4, 20)

@@ -55,6 +55,42 @@ def searchsorted_statistic(xa, xb):
     return float(np.max(np.abs(fa - fb)))
 
 
+def fresh_buffer_statistic(xa, xb):
+    """D by the merge kernel as it was before it reused its spent buffers."""
+    na, nb = xa.size, xb.size
+    pooled = np.concatenate([xa, xb])
+    pooled[:na].sort()
+    pooled[na:].sort()
+    order = np.argsort(pooled, kind="stable")
+    merged = pooled[order]
+    ca = (order < na).astype(np.intp)
+    np.cumsum(ca, out=ca)
+    cb = np.arange(1, pooled.size + 1)
+    cb -= ca
+    last = np.empty(pooled.size, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=last[:-1])
+    last[-1] = True
+    gap = ca / na
+    gap -= cb / nb
+    np.abs(gap, out=gap)
+    return float(np.max(gap, where=last, initial=0.0))
+
+
+def tied_samples(dtype, seed, na, nb):
+    """Two samples of dtype with many ties within and across them, and both zeros for floats."""
+    rng = np.random.default_rng(seed)
+    if np.dtype(dtype).kind == "i":
+        big = 2**62 + rng.integers(0, 40, na + nb)  # beyond 2^53, where float64 would merge values
+        pooled = np.where(rng.random(na + nb) < 0.5, rng.integers(-30, 30, na + nb), big)
+    else:
+        pooled = np.round(rng.standard_normal(na + nb), 1)
+        pooled += np.where(rng.random(na + nb) < 0.5, rng.random(na + nb) / 3, 0.0)
+        pooled[rng.random(na + nb) < 0.1] = 0.0
+        pooled[rng.random(na + nb) < 0.1] = -0.0
+    pooled = pooled.astype(dtype)
+    return pooled[:na], pooled[na:]
+
+
 def is_degenerate(values):
     return len(values) > 1 and len(set(values)) == 1
 
@@ -176,6 +212,18 @@ class TestKsTwoSample:
         assert len(pairs) == 21
         for merged, reference in pairs:
             assert merged == reference
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("seed, na, nb", [(1, 1000, 700), (2, 2000, 2000), (3, 37, 4000)])
+    def test_statistic_equals_fresh_buffer_kernel(self, dtype, seed, na, nb):
+        """D reuses the spent buffers but stays the same float, bit for bit, for every dtype."""
+        xa, xb = tied_samples(dtype, seed, na, nb)
+        def batch(x):
+            return SampleBatch(x.copy(), 1, None, "exponential", SeededStream(0))
+
+        d = ks_two_sample(batch(xa), batch(xb)).statistic
+        assert d == fresh_buffer_statistic(xa, xb)
+        assert d.hex() == fresh_buffer_statistic(xa, xb).hex()
 
     def test_inputs_not_modified(self):
         a = sample_exponential(SeededStream(16, 0), 1000)

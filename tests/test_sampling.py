@@ -388,7 +388,7 @@ class TestRace:
         assert batch.sampler_id == "race_indicator"
 
     def test_memory_bounded_by_block(self):
-        """The 24 MiB sorted block is freed before the gamma draws of the same chunk."""
+        """10^6 replicates stay under 1.5 times the 24 MiB (10^6, 3) draw block they never hold."""
         tracemalloc.start()
         try:
             sample_race_indicators(SeededStream(7), OrderStatParams(3, 2), GammaParams(1, 1), 10**6)
@@ -412,6 +412,102 @@ class TestRace:
             estimate_race(SeededStream(1), OrderStatParams(1, 1), GammaParams(1, 1), 10, chunks=11)
         with pytest.raises(ValueError):
             estimate_race(SeededStream(1), OrderStatParams(1, 1), GammaParams(1, 1), 10, chunks=True)
+
+    def test_chunk_stream_ids_checked_before_drawing(self, monkeypatch):
+        """Stream ids stream_id .. stream_id + chunks - 1 must fit in 64 bits, checked up front."""
+        p, g = OrderStatParams(3, 2), GammaParams(1, 1)
+        last = SeededStream(1, 2**64 - 1)
+
+        def no_draws(self):
+            raise AssertionError(f"drew stream {self.stream_id} before the chunk check")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(SeededStream, "generator", no_draws)
+            with pytest.raises(ValueError, match="chunks"):
+                estimate_race(last, p, g, 10, chunks=2)
+        assert estimate_race(last, p, g, 10) == race_chunk_summary(last, p, g, 10)[0] / 10
+        two = estimate_race(SeededStream(1, 2**64 - 2), p, g, 10, chunks=2)
+        assert two == (race_chunk_summary(SeededStream(1, 2**64 - 2), p, g, 5)[0]
+                       + race_chunk_summary(last, p, g, 5)[0]) / 10
+
+
+def _reference_race(stream, p, g, count):
+    """The per-stream race drawn segment by segment from whole blocks, sorted."""
+    rate = float(g.s)
+    out = []
+    for gen, rows, block in _old_sorted_blocks(stream, p.n, count, extra=g.r):
+        x = -np.log1p(-gen.random((rows, g.r)))
+        x = x.sum(axis=1) / rate if rate else np.full(rows, np.inf)
+        out.append((x > block[:, p.k - 1]).astype(np.float64))
+    return np.concatenate(out)
+
+
+RACE_T = 8  # _TILE_ROWS for the kernel tests, so that chunks straddle tiles
+
+
+class TestRaceKernel:
+    """Every race entry point runs one tiled kernel; it must draw each stream as a lone stream would."""
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_TILE_ROWS", RACE_T)
+
+    def _check(self, p, g, chunks, size, seed=11):
+        base = SeededStream(seed, 3)
+        count = chunks * size
+        streams = [base.substream(c) for c in range(chunks)]
+        reference = [_reference_race(s, p, g, size) for s in streams]
+        indicators = [sample_race_indicators(s, p, g, size).values for s in streams]
+        summaries = [race_chunk_summary(s, p, g, size) for s in streams]
+        for got, want in zip(indicators, reference):
+            assert got.tobytes() == want.tobytes()
+        hits = int(np.concatenate(reference).sum())
+        assert [h for h, _ in summaries] == [int(r.sum()) for r in reference]
+        estimate = estimate_race(base, p, g, count, chunks)
+        assert estimate == hits / count
+        assert estimate == sum(h for h, _ in summaries) / count
+        assert estimate == np.concatenate(indicators).mean()
+
+    @pytest.mark.parametrize("chunks", [1, 2, 17, 999, 1000])
+    @pytest.mark.parametrize("size", [RACE_T - 1, RACE_T, RACE_T + 1])
+    def test_chunks_straddling_tiles(self, chunks, size):
+        self._check(OrderStatParams(3, 2), GammaParams(1, 1), chunks, size)
+
+    @pytest.mark.parametrize("size", [3, RACE_T - 1, RACE_T + 1, 5 * RACE_T])
+    def test_shape_above_one(self, size):
+        """Chunks of 3 rows leave a tile one row short of room for a third."""
+        self._check(OrderStatParams(4, 3), GammaParams(Fraction(3, 2), 3), 17, size)
+
+    @pytest.mark.parametrize("k", [1, 7, CEILING + 2])
+    @pytest.mark.parametrize("size", [RACE_T // 2, RACE_T + 1])
+    def test_sorted_rows_above_the_network_ceiling(self, k, size):
+        """Rows longer than _NETWORK_MAX_N are sorted, and come fewer to a tile."""
+        self._check(OrderStatParams(CEILING + 2, k), GammaParams(2, 2), 17, size)
+
+    def test_rate_rounding_to_zero(self):
+        g = GammaParams(Fraction(1, 10**400), 1)
+        assert float(g.s) == 0.0
+        self._check(OrderStatParams(3, 2), g, 17, RACE_T)
+        assert estimate_race(SeededStream(11, 3), OrderStatParams(3, 2), g, 17 * RACE_T, 17) == 1.0
+
+    @pytest.mark.parametrize("size", [2, 23, 50])
+    def test_streams_of_several_segments(self, size, monkeypatch):
+        """Segments of 2T + 1 rows: a chunk's long segments alternate with its short tail."""
+        p, g = OrderStatParams(3, 2), GammaParams(1, 2)
+        monkeypatch.setattr(sampling, "_CHUNK_CELLS", (2 * RACE_T + 1) * (p.n + g.r))
+        self._check(p, g, 17, size)
+
+    def test_thousand_chunks_hold_only_tiles(self, monkeypatch):
+        """The 1,000-chunk race holds its shared tiles, not an array of all 10^6 replicates (7.6 MiB)."""
+        monkeypatch.setattr(sampling, "_TILE_ROWS", TILE)
+        p, g = OrderStatParams(3, 2), GammaParams(1, 1)
+        tracemalloc.start()
+        try:
+            estimate_race(SeededStream(7), p, g, 10**6, chunks=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestBatchValidation:

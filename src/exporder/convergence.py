@@ -123,7 +123,16 @@ def ks_one_sample(
     alpha: float = DEFAULT_ALPHA,
     test_id: str = "ks_one_sample",
 ) -> TestResult:
-    """One-sample KS test of a batch against a reference cdf."""
+    """One-sample KS test of a batch against a reference cdf.
+
+    D+ = max(i/n - F(x_i)) and D- = max(F(x_i) - (i-1)/n) over the sorted
+    sample.  The grid i/n and one difference buffer are the only arrays
+    built past the cdf values: the buffer takes i/n - F first, then the
+    grid is shifted down by 1/n in place and F minus it goes into the
+    buffer, so each value is the same float as from fresh arrays.  F may be
+    the sample itself, or any array the cdf returned, so it is never
+    written to.
+    """
     xs = np.sort(batch.values)
     _check_not_degenerate(xs, "sample")
     n = xs.size
@@ -133,9 +142,12 @@ def ks_one_sample(
             raise TypeError
     except (TypeError, ValueError):
         f = np.fromiter((cdf(float(v)) for v in xs), dtype=np.float64, count=n)
-    grid = np.arange(1, n + 1, dtype=np.float64) / n
-    d_plus = float(np.max(grid - f))
-    d_minus = float(np.max(f - (grid - 1.0 / n)))
+    grid = np.arange(1, n + 1, dtype=np.float64)
+    grid /= n
+    diff = np.subtract(grid, f)
+    d_plus = float(np.max(diff))
+    grid -= 1.0 / n
+    d_minus = float(np.max(np.subtract(f, grid, out=diff)))
     return _ks_result(test_id, max(d_plus, d_minus, 0.0), n, alpha)
 
 
@@ -155,17 +167,20 @@ def ks_two_sample(
     D is the largest gap between the two empirical cdfs over the pooled
     points.  Each sample is sorted in its half of one pooled buffer, and one
     stable argsort merges the two sorted runs; running counts of each
-    sample's points along the merge give the two cdfs' counts.  Of each run
-    of equal pooled values only the last index counts: there both counts
-    equal the number of points <= that value, so ties are handled exactly.
+    sample's points along the merge give the two cdfs' counts: one cumsum
+    counts the first sample's points, and the second sample's count at merge
+    position i is i + 1 minus the first's.  Of each run of equal pooled
+    values only the last index counts: there both counts equal the number
+    of points <= that value, so ties are handled exactly.
 
     Past the merge, the pooled, merged and order buffers are spent, and the
     counts and the gap reuse them rather than fresh pooled-size arrays,
     whose pages would fault in again on every call: the counts go into
     order, the first cdf's count over na into pooled and the second's over
-    nb into merged.  pooled and merged take float64 only when the samples
-    are float64; for another dtype those two are fresh float64 arrays, so D
-    is the same float for every dtype.
+    nb into merged.  The membership mask is freed before the one pooled-size
+    temporary, the merge positions, is made.  pooled and merged take float64
+    only when the samples are float64; for another dtype those two are
+    fresh float64 arrays, so D is the same float for every dtype.
     """
     na, nb = a.values.size, b.values.size
     pooled = np.concatenate([a.values, b.values])
@@ -179,10 +194,10 @@ def ks_two_sample(
     last = np.empty(pooled.size, dtype=bool)
     np.not_equal(merged[1:], merged[:-1], out=last[:-1])
     last[-1] = True
-    in_a = order < na
-    gap = np.divide(np.cumsum(in_a, out=order), na, out=_spent_float64(pooled))
-    np.logical_not(in_a, out=in_a)
-    gap -= np.divide(np.cumsum(in_a, out=order), nb, out=_spent_float64(merged))
+    counts = np.cumsum(order < na, out=order)
+    gap = np.divide(counts, na, out=_spent_float64(pooled))
+    np.subtract(np.arange(1, counts.size + 1), counts, out=counts)
+    gap -= np.divide(counts, nb, out=_spent_float64(merged))
     np.abs(gap, out=gap)
     d = float(np.max(gap, where=last, initial=0.0))
     return _ks_result(test_id, d, na * nb / (na + nb), alpha)

@@ -17,9 +17,13 @@ and only the kept columns are transformed: -log1p(-U) is non-decreasing, so
 it commutes with min and max and tied uniforms give equal values.  Selection
 is a min/max network pruned to the wanted sorted-order columns
 (``_select_columns``; rows longer than the network ceiling are sorted), so
-the selected values are those a sort of the exponentials would give.  Sums
-of exponentials are row sums of each tile, the same as row sums of the whole
-draw.  No sampler holds a block of all its draws.
+the selected values are those a sort of the exponentials would give; each
+sample reuses one network buffer for all its tiles and writes the selected
+rows straight into its result.  Sums of exponentials are row sums of each
+tile (``_row_sums``), in numpy's order for the whole draw: a row of fewer
+than 8 values is added left to right, column by column in place in the
+spent tile, and a longer row goes to numpy's pairwise sum.  No sampler holds
+a block of all its draws.
 
 The race lays out each stream in segments of _CHUNK_CELLS // (n + r) rows:
 a segment's n order-statistic columns are drawn first, then its r gamma
@@ -70,6 +74,8 @@ _NETWORK_MAX_N = 12
 # rows per draw and network tile, so a draw tile holds at most 12 * 128 KiB
 # and the (n + 1, tile) network buffer (n + 1) * 128 KiB
 _TILE_ROWS = 1 << 14
+# numpy sums a row of this many values or more pairwise, a shorter row left to right
+_PAIRWISE_MIN = 8
 
 SAMPLER_IDS = frozenset(
     {"exponential", "direct_sort", "sum_representation", "spacing", "zn", "race_indicator"}
@@ -220,19 +226,26 @@ def _network(n: int, cols: tuple[int, ...]):
     return tuple(steps), tuple(row[c] for c in cols)
 
 
-def _select_columns(block: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
-    """Columns cols of the row-sorted (rows, n) block, as a new (len(cols), rows) array.
+def _select_columns(
+    block: np.ndarray,
+    cols: tuple[int, ...],
+    out: Optional[np.ndarray] = None,
+    buffer: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Columns cols of the row-sorted (rows, n) block, into out, a (len(cols), rows) array.
 
-    For n <= _NETWORK_MAX_N the rows are not sorted, and the block is only
-    read.  Batcher's odd-even merge network for n (Batcher, AFIPS 1968) is
-    pruned backwards to the comparators that can reach cols (see
-    ``_network``) and run on tiles of at most _TILE_ROWS rows: each tile is
-    copied, transposed, into one reused (n + 1, tile) buffer, so every
-    comparator is an elementwise np.minimum or np.maximum on contiguous rows
-    that stay in cache.  Min and max are exact, so the result equals
-    ``np.sort(block, axis=1)[:, cols].T`` bit for bit on draws, which hold no
-    nan and no -0.0.  Above _NETWORK_MAX_N the block is sorted in place and
-    the columns copied out.
+    out is a new array if None.  For n <= _NETWORK_MAX_N the rows are not
+    sorted, and the block is only read.  Batcher's odd-even merge network
+    for n (Batcher, AFIPS 1968) is pruned backwards to the comparators that
+    can reach cols (see ``_network``) and run on tiles of at most _TILE_ROWS
+    rows: each tile is copied, transposed, into an (n + 1, tile) network
+    buffer (buffer, if given, so that a caller selecting on many blocks
+    reuses one), so every comparator is an elementwise np.minimum or
+    np.maximum on contiguous rows that stay in cache, and the selected rows
+    are copied straight into out.  Min and max are exact, so the result
+    equals ``np.sort(block, axis=1)[:, cols].T`` bit for bit on draws, which
+    hold no nan and no -0.0.  Above _NETWORK_MAX_N the block is sorted in
+    place and the columns copied out.
 
     The ceiling is measured: at 10^5 rows of exponential draws on a 2-core
     Xeon with 2 MiB of L2 per core (numpy 2.4, best of 7-15), the network for
@@ -242,12 +255,16 @@ def _select_columns(block: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
     from n = 15 the network lost (12-17 ms against 6-10 ms).
     """
     rows, n = block.shape
+    if out is None:
+        out = np.empty((len(cols), rows))
     if n > _NETWORK_MAX_N:
         block.sort(axis=1)
-        return np.stack([block[:, c] for c in cols])
+        for row, c in zip(out, cols):
+            row[:] = block[:, c]
+        return out
     steps, out_rows = _network(n, cols)
-    out = np.empty((len(cols), rows))
-    buffer = np.empty((n + 1, min(rows, _TILE_ROWS)))
+    if buffer is None:
+        buffer = np.empty((n + 1, min(rows, _TILE_ROWS)))
     for start in range(0, rows, _TILE_ROWS):
         stop = min(start + _TILE_ROWS, rows)
         tile = buffer[:, : stop - start]
@@ -259,12 +276,46 @@ def _select_columns(block: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _network_buffer(n: int, rows: int) -> Optional[np.ndarray]:
+    """The (n + 1, rows) buffer _select_columns runs its network in; None above the ceiling."""
+    return np.empty((n + 1, rows)) if n <= _NETWORK_MAX_N else None
+
+
 def _selected_exponentials(gen: np.random.Generator, n: int, cols: tuple[int, ...], count: int):
     """Columns cols of the row-sorted (count, n) exponential draw, as a (len(cols), count) array."""
     out = np.empty((len(cols), count))
+    buffer = _network_buffer(n, min(count, _tile_rows(n)))
     for start, u in _uniform_tiles(gen, n, count):
-        out[:, start : start + len(u)] = _select_columns(u, cols)
+        _select_columns(u, cols, out[:, start : start + len(u)], buffer)
     return _to_exponential(out)
+
+
+def _row_sums(tile: np.ndarray, out: np.ndarray, rates: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row sums of tile, each column first divided by its rate if rates is given, into out.
+
+    Bit for bit ``(tile / rates).sum(axis=1)``, at every width.  numpy adds
+    a row of fewer than _PAIRWISE_MIN values left to right, but it runs one
+    short inner loop per row, which costs several times the adds.  Such rows
+    are summed here column by column, left to right, each column divided in
+    place in the spent tile (so tile is overwritten); the first column goes
+    straight into out.  A row of _PAIRWISE_MIN or more values is summed
+    pairwise by numpy itself.
+    """
+    width = tile.shape[1]
+    if width >= _PAIRWISE_MIN:
+        if rates is not None:
+            tile /= rates
+        return tile.sum(axis=1, out=out)
+    if rates is None:
+        out[:] = tile[:, 0]
+    else:
+        np.divide(tile[:, 0], rates[0], out=out)
+    for j in range(1, width):
+        column = tile[:, j]
+        if rates is not None:
+            column /= rates[j]
+        out += column
+    return out
 
 
 def sample_exponential(stream: SeededStream, count: int) -> SampleBatch:
@@ -284,15 +335,19 @@ def sample_orderstat_direct(stream: SeededStream, p: OrderStatParams, count: int
 def sample_orderstat_representation(
     stream: SeededStream, p: OrderStatParams, count: int
 ) -> SampleBatch:
-    """Same law built the other way: sum of k exponentials with rates n-k+1..n."""
+    """Same law built the other way: sum of k exponentials with rates n-k+1..n.
+
+    Each tile of k uniforms per row is transformed in place, and its rows
+    are divided by the rates and summed by ``_row_sums`` straight into the
+    result: left to right for k < 8, pairwise by numpy from k = 8.  Tiles
+    split no row, so the values are bit for bit the row sums of the whole
+    (count, k) block of exponentials over rates.
+    """
     _check_count(count)
     rates = np.arange(p.n - p.k + 1, p.n + 1, dtype=np.float64)
     values = np.empty(count)
-    # bit for bit block.sum(axis=1) of the whole (count, k) block: tiles split no row
     for start, u in _uniform_tiles(stream.generator(), p.k, count):
-        _to_exponential(u)
-        u /= rates
-        u.sum(axis=1, out=values[start : start + len(u)])
+        _row_sums(_to_exponential(u), values[start : start + len(u)], rates)
     return SampleBatch(values, p.n, p.k, "sum_representation", stream)
 
 
@@ -326,8 +381,13 @@ def sample_zn(stream: SeededStream, n: int, count: int) -> SampleBatch:
 
 
 def _gamma_beats(e: np.ndarray, t: np.ndarray, rate: float) -> np.ndarray:
-    """x > t per row, for x the row sum of the exponentials of uniforms e over rate."""
-    x = _to_exponential(e).sum(axis=1)
+    """x > t per row, for x the row sum of the exponentials of uniforms e over rate.
+
+    e is transformed and summed in place by ``_row_sums`` (left to right for
+    fewer than 8 columns, pairwise by numpy from 8), so x is bit for bit
+    ``_to_exponential(e).sum(axis=1) / rate``; e is spent afterwards.
+    """
+    x = _row_sums(_to_exponential(e), np.empty(len(e)))
     # a rate that rounds to 0.0 would make x / rate warn, and nan at x = 0
     if rate:
         x /= rate
@@ -349,10 +409,11 @@ def _race_tiles(chunks, p: OrderStatParams, g: GammaParams):
     cols = (p.k - 1,)
     segment = max(1, _CHUNK_CELLS // (p.n + g.r))
     rows = _tile_rows(p.n + g.r)
-    u, e = np.empty((rows, p.n)), np.empty((rows, g.r))
+    u, e, kept = np.empty((rows, p.n)), np.empty((rows, g.r)), np.empty((1, rows))
+    network = _network_buffer(p.n, rows)
 
     def finish(fill):
-        (t,) = _select_columns(u[:fill], cols)
+        (t,) = _select_columns(u[:fill], cols, kept[:, :fill], network)
         return _gamma_beats(e[:fill], _to_exponential(t), rate)
 
     fill = 0

@@ -345,6 +345,9 @@ class TestBehaviourAnchors:
             (["simulate", "--format", "json"], ("63dea10eb13c9c0b", 6_999)),
             (["race", "--format", "json"], ("61d012c5f3b5e351", 191)),
             (["race", "--format", "json", "--chunks", "1000"], ("83db5f0dcb04f24b", 191)),
+            # k = 8, 9: representation rows that numpy sums pairwise, not left to right
+            (["simulate", "--max-n", "9", "--replicates", "2000", "--format", "json"],
+             ("b62264abf70dae09", 14_738)),
         ],
     )
     def test_monte_carlo(self, capsys, monkeypatch, argv, expected):

@@ -42,26 +42,20 @@ _EXPORTS = {
     ),
     "distributions": (
         "GammaParams",
-        "erlang_survival",
-        "gumbel_cdf",
         "orderstat_cdf",
         "orderstat_mean",
-        "orderstat_pdf",
         "orderstat_var",
         "race_probability_exact",
-        "zn_cdf",
     ),
     "sampling": (
         "SampleBatch",
         "SeededStream",
         "estimate_race",
         "race_chunk_summary",
-        "sample_exponential",
         "sample_normalized_spacings",
         "sample_orderstat_direct",
         "sample_orderstat_representation",
         "sample_race_indicators",
-        "sample_zn",
     ),
     "convergence": (
         "ConvergenceRow",

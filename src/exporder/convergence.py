@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import _zn_cdf_array
 from .exact import _sum_pairs
 from .sampling import SampleBatch
 
@@ -264,6 +263,18 @@ def variance_convergence_check(n_list: Sequence[int]) -> list[ConvergenceRow]:
     for j = 1..n, so its variance is the partial sum of 1/j^2.
     """
     return basel_table(n_list)
+
+
+def _zn_cdf_array(n: int, x: np.ndarray) -> np.ndarray:
+    """cdf of (max of n unit exponentials) - ln n over a float array: (1 - e^-x / n)^n.
+
+    Zero for x < -ln n (the formula's base would go negative there); the
+    power is taken as exp(n*log1p(.)) for accuracy at large n.
+    """
+    ratio = np.exp(-x) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.where(ratio < 1.0, np.exp(n * np.log1p(-np.minimum(ratio, 1.0))), 0.0)
+    return vals
 
 
 def tail_bound_audit(

@@ -38,8 +38,8 @@ generator, not a pass of the kernel.
 
 Two independent constructions of the k-th order statistic are provided
 (select the k-th of n draws; sum k exponentials with rates n-k+1..n), plus
-normalized spacings, the shifted maximum, and Monte Carlo
-gamma-vs-order-statistic races with chunkable, order-independent reductions.
+normalized spacings and Monte Carlo gamma-vs-order-statistic races with
+chunkable, order-independent reductions.
 """
 
 from __future__ import annotations
@@ -50,17 +50,15 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import GammaParams, _float_rate
+from .distributions import GammaParams
 from .laplace import OrderStatParams
 
 __all__ = [
     "SeededStream",
     "SampleBatch",
-    "sample_exponential",
     "sample_orderstat_direct",
     "sample_orderstat_representation",
     "sample_normalized_spacings",
-    "sample_zn",
     "sample_race_indicators",
     "estimate_race",
     "race_chunk_summary",
@@ -77,9 +75,7 @@ _TILE_ROWS = 1 << 14
 # numpy sums a row of this many values or more pairwise, a shorter row left to right
 _PAIRWISE_MIN = 8
 
-SAMPLER_IDS = frozenset(
-    {"exponential", "direct_sort", "sum_representation", "spacing", "zn", "race_indicator"}
-)
+SAMPLER_IDS = frozenset({"direct_sort", "sum_representation", "spacing", "race_indicator"})
 
 
 def _is_int(v) -> bool:
@@ -318,13 +314,6 @@ def _row_sums(tile: np.ndarray, out: np.ndarray, rates: Optional[np.ndarray] = N
     return out
 
 
-def sample_exponential(stream: SeededStream, count: int) -> SampleBatch:
-    """Unit-exponential draws via -log1p(-U)."""
-    _check_count(count)
-    values = _to_exponential(stream.generator().random(count))
-    return SampleBatch(values, 1, None, "exponential", stream)
-
-
 def sample_orderstat_direct(stream: SeededStream, p: OrderStatParams, count: int) -> SampleBatch:
     """k-th smallest of n unit exponentials, selected from one sample of n per replicate."""
     _check_count(count)
@@ -367,17 +356,12 @@ def sample_normalized_spacings(
     return SampleBatch(spacing, p.n, p.k, "spacing", stream)
 
 
-def sample_zn(stream: SeededStream, n: int, count: int) -> SampleBatch:
-    """Max of n unit exponentials, shifted by ln n."""
-    if not (_is_int(n) and n >= 1):
-        raise ValueError(f"sample size must be an integer >= 1, got {n}")
-    _check_count(count)
-    values = np.empty(count)
-    for start, u in _uniform_tiles(stream.generator(), n, count):
-        u.max(axis=1, out=values[start : start + len(u)])
-    _to_exponential(values)
-    values -= np.log(n)
-    return SampleBatch(values, n, None, "zn", stream)
+def _float_rate(s) -> float:
+    """A GammaParams rate as a float: inf where the exact rate is beyond the float range."""
+    try:
+        return float(s)
+    except OverflowError:
+        return np.inf
 
 
 def _gamma_beats(e: np.ndarray, t: np.ndarray, rate: float) -> np.ndarray:

@@ -62,21 +62,21 @@ def test_every_report_id_is_a_benchmark_identity():
 def test_tracer_sees_every_sampler_batch_and_restores_the_package():
     config = cli.parse_args(["simulate", "--max-n", "2", "--replicates", "50"])
     cli._simulate_results(config)  # a sampler bound on a first, untraced call would go unseen
-    originals = sampling.sample_zn, identities.run_suite
+    originals = sampling.sample_orderstat_direct, identities.run_suite
     seen = []
     tracer = _load("tracing").Tracer(
         {name: lambda name, batch: seen.append((name, batch.n, batch.k)) for name in WORKLOADS.SAMPLERS}
     )
     try:
         tracer.install()
-        wrapped = exporder.sample_zn, exporder.run_suite
+        wrapped = exporder.sample_orderstat_direct, exporder.run_suite
         cli._simulate_results(config)
     finally:
         tracer.uninstall()
     cells = [(1, 1), (2, 1), (2, 2)]
     assert sorted(seen) == sorted((name, n, k) for n, k in cells for name in WORKLOADS.SAMPLERS)
     assert all(w is not o for w, o in zip(wrapped, originals))
-    assert exporder.sample_zn is sampling.sample_zn is originals[0]
+    assert exporder.sample_orderstat_direct is sampling.sample_orderstat_direct is originals[0]
     assert exporder.run_suite is identities.run_suite is originals[1]
     # a name cached in the package while the tracer was installed would keep its wrapper
-    assert {"sample_zn", "run_suite"}.isdisjoint(vars(exporder))
+    assert {"sample_orderstat_direct", "run_suite"}.isdisjoint(vars(exporder))

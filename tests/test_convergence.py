@@ -36,13 +36,19 @@ from exporder.convergence import (
 )
 from exporder.distributions import orderstat_var
 from exporder.laplace import OrderStatParams
-from exporder.sampling import SampleBatch, SeededStream, sample_exponential
+from exporder.sampling import SampleBatch, SeededStream
 
 POWERS_OF_TEN = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
 
 
 def as_batch(values):
-    return SampleBatch(np.asarray(values, dtype=np.float64), 1, None, "exponential", SeededStream(0))
+    return SampleBatch(np.asarray(values, dtype=np.float64), 1, None, "direct_sort", SeededStream(0))
+
+
+def exponentials(stream, count):
+    """count unit exponentials by the samplers' inverse transform of the stream's uniforms."""
+    values = -np.log1p(-stream.generator().random(count))
+    return SampleBatch(values, 1, None, "direct_sort", stream)
 
 
 def searchsorted_statistic(xa, xb):
@@ -125,33 +131,33 @@ class TestKolmogorovPvalue:
 
 class TestKsOneSample:
     def test_same_law_passes(self):
-        batch = sample_exponential(SeededStream(2024, 1), 10**5)
+        batch = exponentials(SeededStream(2024, 1), 10**5)
         result = ks_one_sample(batch, unit_exp_cdf)
         assert result.passed
         assert result.n_effective == 10**5
 
     def test_wrong_law_fails(self):
         """Exp(2) data against the Exp(1) cdf: sup distance is 1/4 at ln 2."""
-        batch = sample_exponential(SeededStream(2024, 2), 10**4)
-        halved = SampleBatch(batch.values / 2.0, 1, None, "exponential", batch.seed_info)
+        batch = exponentials(SeededStream(2024, 2), 10**4)
+        halved = SampleBatch(batch.values / 2.0, 1, None, "direct_sort", batch.seed_info)
         result = ks_one_sample(halved, unit_exp_cdf)
         assert not result.passed
         assert result.statistic == pytest.approx(0.25, abs=0.02)
 
     def test_single_point_statistic(self):
         v = 0.9
-        batch = SampleBatch(np.array([v]), 1, None, "exponential", SeededStream(0))
+        batch = SampleBatch(np.array([v]), 1, None, "direct_sort", SeededStream(0))
         result = ks_one_sample(batch, unit_exp_cdf)
         c = float(unit_exp_cdf(v))
         assert result.statistic == pytest.approx(max(c, 1 - c))
 
     def test_degenerate_rejected(self):
-        batch = SampleBatch(np.full(10, 1.3), 1, None, "exponential", SeededStream(0))
+        batch = SampleBatch(np.full(10, 1.3), 1, None, "direct_sort", SeededStream(0))
         with pytest.raises(ValueError):
             ks_one_sample(batch, unit_exp_cdf)
 
     def test_scalar_only_cdf_accepted(self):
-        batch = sample_exponential(SeededStream(11, 3), 2000)
+        batch = exponentials(SeededStream(11, 3), 2000)
         result = ks_one_sample(batch, lambda t: -math.expm1(-t))
         reference = ks_one_sample(batch, unit_exp_cdf)
         assert result.statistic == reference.statistic
@@ -159,22 +165,22 @@ class TestKsOneSample:
 
 class TestKsTwoSample:
     def test_same_law_passes(self):
-        a = sample_exponential(SeededStream(11, 0), 10**5)
-        b = sample_exponential(SeededStream(12, 0), 10**5)
+        a = exponentials(SeededStream(11, 0), 10**5)
+        b = exponentials(SeededStream(12, 0), 10**5)
         result = ks_two_sample(a, b)
         assert result.passed
         assert result.n_effective == 50_000
 
     def test_different_rates_fail(self):
-        a = sample_exponential(SeededStream(13, 0), 10**4)
-        b = sample_exponential(SeededStream(14, 0), 10**4)
-        third = SampleBatch(b.values / 3.0, 1, None, "exponential", b.seed_info)
+        a = exponentials(SeededStream(13, 0), 10**4)
+        b = exponentials(SeededStream(14, 0), 10**4)
+        third = SampleBatch(b.values / 3.0, 1, None, "direct_sort", b.seed_info)
         result = ks_two_sample(a, third)
         assert not result.passed
         assert result.statistic > 0.3
 
     def test_identical_samples_pass_with_zero_statistic(self):
-        a = sample_exponential(SeededStream(15, 0), 5000)
+        a = exponentials(SeededStream(15, 0), 5000)
         result = ks_two_sample(a, a)
         assert result.statistic == 0.0
         assert result.threshold_or_pvalue == 1.0
@@ -219,15 +225,15 @@ class TestKsTwoSample:
         """D reuses the spent buffers but stays the same float, bit for bit, for every dtype."""
         xa, xb = tied_samples(dtype, seed, na, nb)
         def batch(x):
-            return SampleBatch(x.copy(), 1, None, "exponential", SeededStream(0))
+            return SampleBatch(x.copy(), 1, None, "direct_sort", SeededStream(0))
 
         d = ks_two_sample(batch(xa), batch(xb)).statistic
         assert d == fresh_buffer_statistic(xa, xb)
         assert d.hex() == fresh_buffer_statistic(xa, xb).hex()
 
     def test_inputs_not_modified(self):
-        a = sample_exponential(SeededStream(16, 0), 1000)
-        b = sample_exponential(SeededStream(16, 1), 700)
+        a = exponentials(SeededStream(16, 0), 1000)
+        b = exponentials(SeededStream(16, 1), 700)
         a_before, b_before = a.values.copy(), b.values.copy()
         ks_two_sample(a, b)
         assert np.array_equal(a.values, a_before)

@@ -1,4 +1,4 @@
-"""Closed-form densities, cdfs, moments, survival and limit functions."""
+"""Closed-form cdfs, moments and race probabilities."""
 
 import math
 from fractions import Fraction
@@ -8,19 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaincc
 from scipy.stats import beta
 
+from exporder.convergence import _zn_cdf_array
 from exporder.distributions import (
     GammaParams,
-    erlang_survival,
-    gumbel_cdf,
     orderstat_cdf,
     orderstat_mean,
-    orderstat_pdf,
     orderstat_var,
     race_probability_exact,
-    zn_cdf,
 )
 from exporder.laplace import OrderStatParams
 
@@ -30,23 +26,29 @@ ALL_PAIRS_N10 = [(n, k) for n in range(1, 11) for k in range(1, n + 1)]
 
 
 class TestPdf:
+    """The density's defining facts, read off orderstat_cdf, its integral from 0."""
+
     def test_minimum_density_at_zero(self):
-        assert orderstat_pdf(OrderStatParams(2, 1), 0.0) == pytest.approx(2.0)
+        # the minimum of two has density 2 at 0, so F(h) = 2h - O(h^2)
+        h = 1e-9
+        assert orderstat_cdf(OrderStatParams(2, 1), h) / h == pytest.approx(2.0, rel=1e-8)
 
     def test_reduces_to_parent_density(self):
         p = OrderStatParams(1, 1)
         for t in (0.0, 0.3, 1.7, 5.0):
-            assert orderstat_pdf(p, t) == pytest.approx(math.exp(-t), rel=1e-14)
+            assert orderstat_cdf(p, t) == pytest.approx(-math.expm1(-t), rel=1e-14)
 
     @pytest.mark.parametrize("n,k", ALL_PAIRS_N10)
     def test_integrates_to_one(self, n, k):
+        # the mass above t = 30 is below n e^-30 < 1e-12; there w = 1 - e^-30
+        # is still below 1.0, so every binomial term is summed
         p = OrderStatParams(n, k)
-        total, _ = quad(lambda t: orderstat_pdf(p, t), 0, np.inf)
-        assert abs(total - 1.0) < 1e-8
+        assert orderstat_cdf(p, 0.0) == 0.0
+        assert abs(orderstat_cdf(p, 30.0) - 1.0) < 1e-11
 
     def test_negative_t_rejected(self):
-        with pytest.raises(ValueError):
-            orderstat_pdf(OrderStatParams(2, 1), -0.1)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            orderstat_cdf(OrderStatParams(2, 1), -0.1)
 
 
 class TestCdf:
@@ -59,9 +61,9 @@ class TestCdf:
             assert orderstat_cdf(OrderStatParams(n, k), 0.0) == 0.0
 
     def test_matches_integrated_pdf(self):
+        # X_(k) <= t exactly when Beta(k, n-k+1) <= w = 1 - e^-t
         p = OrderStatParams(3, 2)
-        integral, _ = quad(lambda t: orderstat_pdf(p, t), 0, 1.0)
-        assert abs(orderstat_cdf(p, 1.0) - integral) < 1e-8
+        assert abs(orderstat_cdf(p, 1.0) - beta.cdf(-math.expm1(-1.0), 2, 2)) < 1e-8
 
     @pytest.mark.parametrize("n,k", ALL_PAIRS_N10)
     def test_monotone_on_grid(self, n, k):
@@ -79,11 +81,12 @@ class TestCdf:
 
     @pytest.mark.parametrize("n,k", [(1, 1), (4, 2), (6, 6), (10, 3)])
     def test_derivative_matches_pdf(self, n, k):
+        # the density of X_(k) is that of Beta(k, n-k+1) at w = 1 - e^-t times dw/dt = e^-t
         p = OrderStatParams(n, k)
         h = 1e-5
         for t in np.linspace(0.1, 9.9, 99):
             fd = (orderstat_cdf(p, t + h) - orderstat_cdf(p, t - h)) / (2 * h)
-            assert abs(fd - orderstat_pdf(p, t)) < 1e-6
+            assert abs(fd - beta.pdf(-math.expm1(-t), k, n - k + 1) * math.exp(-t)) < 1e-6
 
 
 class TestLargeSampleSizes:
@@ -96,9 +99,6 @@ class TestLargeSampleSizes:
         p = OrderStatParams(n, k)
         w = -math.expm1(-t)
         assert orderstat_cdf(p, t) == pytest.approx(beta.cdf(w, k, n - k + 1), rel=1e-11)
-        assert orderstat_pdf(p, t) == pytest.approx(
-            beta.pdf(w, k, n - k + 1) * math.exp(-t), rel=1e-11
-        )
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -117,8 +117,12 @@ class TestLargeSampleSizes:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 3000), data=st.data(), t=st.floats(0.0, allow_nan=False))
     def test_pdf_nonnegative_and_finite(self, n, data, t):
-        value = orderstat_pdf(OrderStatParams(n, data.draw(st.integers(1, n))), t)
-        assert value >= 0.0 and math.isfinite(value)
+        # a finite, nonnegative density is a cdf in [0, 1] that never falls,
+        # here over the whole float range of t, inf included
+        p = OrderStatParams(n, data.draw(st.integers(1, n)))
+        lo, hi = orderstat_cdf(p, t), orderstat_cdf(p, 2 * t)
+        assert 0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0
+        assert lo <= hi * (1.0 + 1e-11)
 
 
 class TestMoments:
@@ -144,75 +148,13 @@ class TestMoments:
                 assert orderstat_var(p) == H2[n] - H2[n - k]
 
     def test_quadrature_spot_check(self):
+        # E X = integral of P(X > t) over t >= 0
         p = OrderStatParams(4, 2)
-        mean, _ = quad(lambda t: t * orderstat_pdf(p, t), 0, np.inf)
+        mean, _ = quad(lambda t: 1.0 - orderstat_cdf(p, t), 0, np.inf)
         assert abs(mean - float(orderstat_mean(p))) < 1e-9
 
 
-class TestErlangSurvival:
-    def test_exponential_case(self):
-        assert erlang_survival(GammaParams(2, 1), 1.0) == pytest.approx(math.exp(-2))
-
-    def test_at_zero(self):
-        for r in (1, 3, 7):
-            assert erlang_survival(GammaParams(0.5, r), 0.0) == 1.0
-
-    def test_shape_two(self):
-        assert erlang_survival(GammaParams(1, 2), 1.0) == pytest.approx(2 * math.exp(-1))
-
-    def test_decreasing_in_x(self):
-        g = GammaParams(1.5, 3)
-        xs = np.linspace(0, 8, 50)
-        vals = [erlang_survival(g, x) for x in xs]
-        assert all(b <= a for a, b in zip(vals, vals[1:]))
-
-    @pytest.mark.parametrize("r", [2, 3, 5])
-    def test_telescoping(self, r):
-        s = 1.25
-        for x in (0.1, 1.0, 3.5):
-            delta = erlang_survival(GammaParams(s, r), x) - erlang_survival(
-                GammaParams(s, r - 1), x
-            )
-            expected = math.exp(-s * x) * (s * x) ** (r - 1) / math.factorial(r - 1)
-            assert delta == pytest.approx(expected, rel=1e-12, abs=1e-15)
-
-    @pytest.mark.parametrize(
-        "s,r,x",
-        [
-            (1, 1000, 800.0),  # e^-sx underflows; the tail sum is ~1
-            (1, 800, 760.0),
-            (1, 3000, 3500.0),  # deep tail, far from 0 and 1
-            (0.5, 50, 3.0),
-            (1e-3, 3, 1e5),
-            (2.5, 12, 4.0),
-        ],
-    )
-    def test_matches_scipy(self, s, r, x):
-        assert erlang_survival(GammaParams(s, r), x) == pytest.approx(gammaincc(r, s * x), rel=1e-10)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        s=st.floats(1e-3, 1e3),
-        r=st.integers(1, 2000),
-        x=st.floats(1e-4, 1e4),
-        gap=st.floats(0.0, 1e4),
-    )
-    def test_bounded_and_nonincreasing(self, s, r, x, gap):
-        g = GammaParams(s, r)
-        near, far = erlang_survival(g, x), erlang_survival(g, x + gap)
-        assert 0.0 <= near <= 1.0 and 0.0 <= far <= 1.0
-        # a value carries up to ~3e-12 relative rounding (its log-space terms
-        # add parts as large as s*x), so it is monotone to that precision;
-        # e.g. s=1, r=26 gives 1 - 2^-53 at x=1.75 and 1.0 at x=2.75
-        assert far <= near * (1.0 + 1e-11)
-
-    @settings(max_examples=200, deadline=None)
-    @given(s=st.floats(1e-3, 1e3), r=st.integers(1, 2000), x=st.floats(1e-4, 1e4))
-    def test_matches_scipy_over_wide_range(self, s, r, x):
-        expected = gammaincc(r, s * x)
-        if expected > 1e-280:
-            assert erlang_survival(GammaParams(s, r), x) == pytest.approx(expected, rel=1e-10)
-
+class TestGammaParams:
     def test_bad_params(self):
         with pytest.raises(ValueError):
             GammaParams(0, 1)
@@ -222,27 +164,13 @@ class TestErlangSurvival:
             GammaParams(1, True)
         with pytest.raises(ValueError):
             GammaParams(True, 1)
-        # an infinite rate would make erlang_survival(g, 0.0) nan (inf * 0)
+        # an infinite rate is no gamma law, as a Python float or a numpy one
         for rate in (float("inf"), np.inf):
             with pytest.raises(ValueError):
                 GammaParams(rate, 1)
 
     def test_huge_exact_rate_accepted(self):
         assert GammaParams(Fraction(10**400), 1).s == 10**400
-
-    def test_huge_exact_rate_survival(self):
-        """A rate beyond the float range acts as an infinite one, not an OverflowError."""
-        for r in (1, 3):
-            g = GammaParams(10**400, r)
-            assert erlang_survival(g, 0.0) == 1.0
-            assert erlang_survival(g, 1e-300) == 0.0
-            assert erlang_survival(g, math.inf) == 0.0
-
-    def test_tiny_exact_rate_survival_at_infinity(self):
-        """A rate that rounds to 0.0 gives 0 at x = inf, not nan from 0 * inf."""
-        g = GammaParams(Fraction(1, 10**400), 2)
-        assert erlang_survival(g, math.inf) == 0.0
-        assert erlang_survival(g, 1.0) == 1.0
 
 
 class TestRaceProbability:
@@ -268,54 +196,22 @@ class TestRaceProbability:
             race_probability_exact(OrderStatParams(2, 1), GammaParams(0.5, 1))
 
 
-class TestGumbel:
-    def test_at_zero(self):
-        assert gumbel_cdf(0.0) == pytest.approx(math.exp(-1))
-
-    def test_upper_limit(self):
-        assert gumbel_cdf(50.0) == pytest.approx(1.0)
-        assert gumbel_cdf(1e6) == 1.0
-
-    def test_lower_limit(self):
-        assert gumbel_cdf(-800.0) == 0.0
-        assert gumbel_cdf(-math.inf) == 0.0
-
-    def test_median_inversion(self):
-        assert gumbel_cdf(-math.log(math.log(2))) == pytest.approx(0.5, rel=1e-14)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            gumbel_cdf(math.nan)
-
-
 class TestZnCdf:
+    """convergence._zn_cdf_array, the shifted-maximum cdf of the tail audit and the Gumbel table."""
+
     def test_support_boundary_n1(self):
-        assert zn_cdf(1, 0.0) == 0.0
+        assert _zn_cdf_array(1, np.array(0.0)) == 0.0
 
     def test_substitution_value(self):
-        assert zn_cdf(2, math.log(2)) == pytest.approx(9 / 16, rel=1e-14)
+        assert _zn_cdf_array(2, np.array(math.log(2))) == pytest.approx(9 / 16, rel=1e-14)
 
     def test_below_support_is_zero(self):
-        assert zn_cdf(5, -math.log(5) - 0.01) == 0.0
-        assert zn_cdf(5, -50.0) == 0.0
+        assert _zn_cdf_array(5, np.array([-math.log(5) - 0.01, -50.0])).tolist() == [0.0, 0.0]
 
     def test_close_to_gumbel_for_large_n(self):
-        assert abs(zn_cdf(10**6, 1.0) - gumbel_cdf(1.0)) < 1e-6
+        assert abs(_zn_cdf_array(10**6, np.array(1.0)) - math.exp(-math.exp(-1.0))) < 1e-6
 
     def test_monotone_and_bounded(self):
-        xs = np.linspace(-2.0, 8.0, 200)
-        vals = [zn_cdf(10, x) for x in xs]
-        assert all(0.0 <= v <= 1.0 for v in vals)
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_bad_n(self):
-        with pytest.raises(ValueError):
-            zn_cdf(0, 1.0)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            zn_cdf(3, math.nan)
-
-    def test_bool_n_rejected(self):
-        with pytest.raises(ValueError):
-            zn_cdf(True, 0.5)
+        vals = _zn_cdf_array(10, np.linspace(-2.0, 8.0, 200))
+        assert np.all((0.0 <= vals) & (vals <= 1.0))
+        assert np.all(np.diff(vals) >= 0)

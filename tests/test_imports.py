@@ -11,7 +11,7 @@ import exporder
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the names `from exporder import *` bound when the package imported every submodule
+# the names `from exporder import *` binds, one entry per submodule
 PUBLIC = {
     "exact": "Polynomial Rational RationalFunction binomial poly_gcd",
     "laplace": "OrderStatParams double_sum_form erlang_weighted_sum generalized_double_sum product_form",
@@ -21,14 +21,10 @@ PUBLIC = {
         "verify_max_order verify_max_order_value verify_min_order verify_nested "
         "verify_square_closed_form verify_square_min_order"
     ),
-    "distributions": (
-        "GammaParams erlang_survival gumbel_cdf orderstat_cdf orderstat_mean orderstat_pdf "
-        "orderstat_var race_probability_exact zn_cdf"
-    ),
+    "distributions": "GammaParams orderstat_cdf orderstat_mean orderstat_var race_probability_exact",
     "sampling": (
-        "SampleBatch SeededStream estimate_race race_chunk_summary sample_exponential "
-        "sample_normalized_spacings sample_orderstat_direct sample_orderstat_representation "
-        "sample_race_indicators sample_zn"
+        "SampleBatch SeededStream estimate_race race_chunk_summary sample_normalized_spacings "
+        "sample_orderstat_direct sample_orderstat_representation sample_race_indicators"
     ),
     "convergence": (
         "ConvergenceRow EULER_GAMMA PI_SQUARED_OVER_6 TestResult basel_table euler_gamma_table "
@@ -60,7 +56,7 @@ def test_verify_runs_without_numpy():
 def test_exact_submodules_load_without_numpy():
     proc = _fresh_python("""
         import sys
-        from exporder import identities, laplace, exact
+        from exporder import distributions, identities, laplace, exact
         print("numpy" in sys.modules)
     """)
     assert proc.returncode == 0, proc.stderr
@@ -69,7 +65,7 @@ def test_exact_submodules_load_without_numpy():
 
 def test_every_public_name_resolves_to_its_submodule():
     names = [name for text in PUBLIC.values() for name in text.split()]
-    assert len(names) == 55
+    assert len(names) == 49
     for module, text in PUBLIC.items():
         sub = importlib.import_module(f"exporder.{module}")
         assert getattr(exporder, module) is sub
@@ -78,6 +74,6 @@ def test_every_public_name_resolves_to_its_submodule():
     star: dict = {}
     exec("from exporder import *", star)
     wanted = {*PUBLIC, *names}
-    assert len(wanted) == 61
+    assert len(wanted) == 55
     assert wanted <= star.keys()
     assert wanted <= set(dir(exporder))

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,12 +20,10 @@ from exporder.sampling import (
     SeededStream,
     estimate_race,
     race_chunk_summary,
-    sample_exponential,
     sample_normalized_spacings,
     sample_orderstat_direct,
     sample_orderstat_representation,
     sample_race_indicators,
-    sample_zn,
 )
 
 GOLDEN_STREAM = SeededStream(20170807)
@@ -38,16 +37,27 @@ GOLDEN_SPACING_32 = [1.1701121190537027, 0.33854647115688885, 0.9486320363027761
 GOLDEN_ZN_3 = [0.6108477898599052, 0.44110393875232723, 1.0275536430910164]
 
 
+def _exponentials(stream, count):
+    """count unit exponentials by the samplers' inverse transform of the stream's uniforms."""
+    return -np.log1p(-stream.generator().random(count))
+
+
+def _zn(stream, n, count):
+    """The shifted maximum Z_n = X_(n:n) - ln n, from the direct sampler at k = n."""
+    batch = sample_orderstat_direct(stream, OrderStatParams(n, n), count)
+    return replace(batch, values=batch.values - np.log(n))
+
+
 class TestSeededStream:
     def test_determinism_across_instances(self):
-        a = sample_exponential(SeededStream(123, 45), 1000)
-        b = sample_exponential(SeededStream(123, 45), 1000)
-        assert np.array_equal(a.values, b.values)
+        a = _exponentials(SeededStream(123, 45), 1000)
+        b = _exponentials(SeededStream(123, 45), 1000)
+        assert np.array_equal(a, b)
 
     def test_different_streams_differ(self):
-        a = sample_exponential(SeededStream(123, 0), 100)
-        b = sample_exponential(SeededStream(123, 1), 100)
-        assert not np.array_equal(a.values, b.values)
+        a = _exponentials(SeededStream(123, 0), 100)
+        b = _exponentials(SeededStream(123, 1), 100)
+        assert not np.array_equal(a, b)
 
     def test_substream_offsets(self):
         s = SeededStream(9, 4)
@@ -66,7 +76,7 @@ class TestSeededStream:
 
 class TestGoldenValues:
     def test_exponential(self):
-        batch = sample_exponential(GOLDEN_STREAM, 3)
+        batch = sample_orderstat_direct(GOLDEN_STREAM, OrderStatParams(1, 1), 3)
         assert batch.values.tolist() == GOLDEN_EXPONENTIAL
 
     def test_direct(self):
@@ -82,32 +92,35 @@ class TestGoldenValues:
         assert batch.values.tolist() == GOLDEN_SPACING_32
 
     def test_zn(self):
-        batch = sample_zn(GOLDEN_STREAM, 3, 3)
-        assert batch.values.tolist() == GOLDEN_ZN_3
+        assert _zn(GOLDEN_STREAM, 3, 3).values.tolist() == GOLDEN_ZN_3
 
 
 class TestExponentialSampler:
+    """The unit exponential: the direct sampler at n = k = 1."""
+
+    UNIT = OrderStatParams(1, 1)
+
     def test_nonnegative(self):
-        batch = sample_exponential(SeededStream(5), 10_000)
+        batch = sample_orderstat_direct(SeededStream(5), self.UNIT, 10_000)
         assert np.all(batch.values >= 0)
 
     def test_mean_within_band(self):
-        batch = sample_exponential(SeededStream(31), 10**6)
+        batch = sample_orderstat_direct(SeededStream(31), self.UNIT, 10**6)
         assert abs(batch.mean() - 1.0) < 0.004  # 4 sigma / sqrt(N)
 
     def test_count_validated(self):
         with pytest.raises(ValueError):
-            sample_exponential(SeededStream(1), 0)
+            sample_orderstat_direct(SeededStream(1), self.UNIT, 0)
         with pytest.raises(ValueError):
-            sample_exponential(SeededStream(1), True)
+            sample_orderstat_direct(SeededStream(1), self.UNIT, True)
 
 
 class TestOrderStatSamplers:
     def test_degenerate_case_equals_exponential(self):
-        """n=k=1 consumes the stream identically to the plain sampler."""
-        e = sample_exponential(SeededStream(99), 1000)
+        """n=k=1 consumes the stream identically to the plain inverse transform."""
+        e = _exponentials(SeededStream(99), 1000)
         d = sample_orderstat_direct(SeededStream(99), OrderStatParams(1, 1), 1000)
-        assert np.array_equal(e.values, d.values)
+        assert np.array_equal(e, d.values)
 
     def test_direct_mean_max_of_three(self):
         batch = sample_orderstat_direct(SeededStream(1, 7), OrderStatParams(3, 3), 10**6)
@@ -119,9 +132,9 @@ class TestOrderStatSamplers:
         assert abs(batch.mean() - 0.2) < 4 * 0.2 / 1000
 
     def test_representation_single_summand(self):
-        e = sample_exponential(SeededStream(77), 500)
+        e = _exponentials(SeededStream(77), 500)
         r = sample_orderstat_representation(SeededStream(77), OrderStatParams(1, 1), 500)
-        assert np.array_equal(e.values, r.values)
+        assert np.array_equal(e, r.values)
 
     def test_representation_variance(self):
         batch = sample_orderstat_representation(
@@ -249,11 +262,8 @@ class TestTiledDraws:
 
     @pytest.mark.parametrize(
         "sample",
-        [
-            lambda: sample_zn(SeededStream(5, 3), 1000, 10**5),
-            lambda: sample_orderstat_direct(SeededStream(5, 4), OrderStatParams(1000, 500), 10**5),
-        ],
-        ids=["zn", "direct"],
+        [lambda: sample_orderstat_direct(SeededStream(5, 4), OrderStatParams(1000, 500), 10**5)],
+        ids=["direct"],
     )
     def test_wide_rows_keep_tiles_small(self, sample):
         """At n = 1000 a tile holds no more values than one at the network ceiling."""
@@ -311,14 +321,14 @@ class TestTiledDraws:
         stream, count = SeededStream(29, n), 1000
         block = -np.log1p(-stream.generator().random((count, n)))
         expected = block.max(axis=1) - np.log(n)
-        assert sample_zn(stream, n, count).values.tobytes() == expected.tobytes()
+        assert _zn(stream, n, count).values.tobytes() == expected.tobytes()
 
 
 class TestSpacings:
     def test_k1_n1_is_raw_exponential(self):
-        e = sample_exponential(SeededStream(55), 400)
+        e = _exponentials(SeededStream(55), 400)
         sp = sample_normalized_spacings(SeededStream(55), 1, 1, 400)
-        assert np.array_equal(e.values, sp.values)
+        assert np.array_equal(e, sp.values)
 
     def test_nonnegative(self):
         batch = sample_normalized_spacings(SeededStream(8, 2), 6, 4, 5000)
@@ -330,44 +340,35 @@ class TestSpacings:
 
 
 class TestZnSampler:
-    def test_n1_is_shifted_by_zero(self):
-        e = sample_exponential(SeededStream(21), 300)
-        z = sample_zn(SeededStream(21), 1, 300)
-        assert np.array_equal(e.values, z.values)
+    """Z_n drawn by the direct sampler at k = n; at n = 1000 rows are sorted, not networked."""
 
-    def test_mean_near_harmonic_difference(self):
+    @pytest.fixture(scope="class")
+    def z1000(self):
+        return _zn(SeededStream(5, 3), 1000, 10**5)
+
+    def test_n1_is_shifted_by_zero(self):
+        e = _exponentials(SeededStream(21), 300)
+        z = _zn(SeededStream(21), 1, 300)
+        assert np.array_equal(e, z.values)
+
+    def test_mean_near_harmonic_difference(self, z1000):
         n, count = 1000, 10**5
         target = float(sum(Fraction(1, j) for j in range(1, n + 1))) - math.log(n)
-        batch = sample_zn(SeededStream(5, 3), n, count)
         band = 4 * (math.pi / math.sqrt(6)) / math.sqrt(count) + 0.001
-        assert abs(batch.mean() - target) < band
+        assert abs(z1000.mean() - target) < band
 
-    def test_bad_n_rejected(self):
-        with pytest.raises(ValueError):
-            sample_zn(SeededStream(1), 0, 10)
-        with pytest.raises(ValueError):
-            sample_zn(SeededStream(1), True, 10)
-
-    def test_chunked_draws_match_single_pass(self):
+    def test_chunked_draws_match_single_pass(self, monkeypatch):
         """Tiling is an implementation detail: the stream order is fixed."""
-        import exporder.sampling as sampling
-
-        z1 = sample_zn(SeededStream(6, 6), 40, 500)
-        old = sampling._TILE_ROWS
-        sampling._TILE_ROWS = 12  # force many tiles
-        try:
-            z2 = sample_zn(SeededStream(6, 6), 40, 500)
-        finally:
-            sampling._TILE_ROWS = old
+        z1 = _zn(SeededStream(6, 6), 40, 500)
+        monkeypatch.setattr(sampling, "_TILE_ROWS", 12)  # force many tiles
+        z2 = _zn(SeededStream(6, 6), 40, 500)
         assert np.array_equal(z1.values, z2.values)
 
-    def test_ks_against_exact_finite_n_cdf(self):
+    def test_ks_against_exact_finite_n_cdf(self, z1000):
         """The shifted-maximum law matches its closed-form cdf at n = 1000."""
-        from exporder.convergence import ks_one_sample
-        from exporder.distributions import _zn_cdf_array
+        from exporder.convergence import _zn_cdf_array, ks_one_sample
 
-        batch = sample_zn(SeededStream(5, 3), 1000, 10**5)
-        result = ks_one_sample(batch, lambda x: _zn_cdf_array(1000, np.asarray(x)))
+        result = ks_one_sample(z1000, lambda x: _zn_cdf_array(1000, np.asarray(x)))
         assert result.passed
 
 
@@ -531,11 +532,11 @@ class TestRaceKernel:
 class TestBatchValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            SampleBatch(np.array([]), 1, None, "exponential", SeededStream(1))
+            SampleBatch(np.array([]), 1, None, "direct_sort", SeededStream(1))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            SampleBatch(np.array([1.0, np.inf]), 1, None, "exponential", SeededStream(1))
+            SampleBatch(np.array([1.0, np.inf]), 1, None, "direct_sort", SeededStream(1))
 
     def test_unknown_sampler_rejected(self):
         with pytest.raises(ValueError):
@@ -548,7 +549,7 @@ class TestBatchValidation:
 
     def test_variance_needs_two_values(self):
         def batch(*values):
-            return SampleBatch(np.array(values), 1, None, "exponential", SeededStream(1))
+            return SampleBatch(np.array(values), 1, None, "direct_sort", SeededStream(1))
 
         with pytest.raises(ValueError, match="at least 2 values"):
             batch(1.0).variance()

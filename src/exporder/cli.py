@@ -284,10 +284,10 @@ def _audit_rows(target: str, rows: Sequence[convergence.ConvergenceRow]) -> list
         for r in rows:
             if not 1.0 / (2 * r.n + 2) < r.abs_error < 1.0 / (2 * r.n):
                 problems.append(f"gamma: error outside (1/(2n+2), 1/(2n)) at n={r.n}")
-    if target == "basel":
+    if target in ("basel", "variance"):
         for r in rows:
             if not 1.0 / (r.n + 1) < r.abs_error < 1.0 / r.n:
-                problems.append(f"basel: error outside (1/(n+1), 1/n) at n={r.n}")
+                problems.append(f"{target}: error outside (1/(n+1), 1/n) at n={r.n}")
     if target == "gumbel":
         for r in rows:
             if r.n >= 10 and not r.abs_error < GUMBEL_ERROR_BUDGET / r.n:

@@ -71,13 +71,13 @@ def orderstat_cdf(p: OrderStatParams, t: float) -> float:
 
 
 def orderstat_mean(p: OrderStatParams) -> Rational:
-    """Exact mean: sum of 1/(n-k+j) for j = 1..k (spacing representation)."""
-    return sum_fractions(Fraction(1, p.n - p.k + j) for j in range(1, p.k + 1))
+    """Exact mean: sum of 1/j over the rates j = n-k+1..n (spacing representation)."""
+    return sum_fractions(Fraction(1, j) for j in p.rates)
 
 
 def orderstat_var(p: OrderStatParams) -> Rational:
-    """Exact variance: sum of 1/(n-k+j)^2 for j = 1..k."""
-    return Fraction(*_sum_pairs([(1, (p.n - p.k + j) ** 2) for j in range(1, p.k + 1)]))
+    """Exact variance: sum of 1/j^2 over the rates j = n-k+1..n."""
+    return Fraction(*_sum_pairs([(1, j**2) for j in p.rates]))
 
 
 def race_probability_exact(p: OrderStatParams, g: GammaParams) -> Rational:

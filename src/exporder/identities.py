@@ -176,7 +176,7 @@ def verify_square_closed_form(n: int, k: int, s: Rational) -> IdentityReport:
     p = OrderStatParams(n, k)
     s = Fraction(s)
     lhs = erlang_weighted_sum(p, 2, s)
-    bracket = 1 + sum(s / (s + j) for j in range(n - k + 1, n + 1))
+    bracket = 1 + sum(s / (s + j) for j in p.rates)
     rhs = product_form(p).evaluate(s) * bracket
     return _report("square_power_closed_form", {"n": n, "k": k, "r": 2, "s": s}, lhs, rhs)
 

@@ -52,6 +52,11 @@ class OrderStatParams:
         if not 1 <= self.k <= self.n:
             raise ValueError(f"order index must satisfy 1 <= k <= n, got k={self.k}, n={self.n}")
 
+    @property
+    def rates(self) -> range:
+        """The rates j = n-k+1..n: X_(k) is the sum of independent E_j / j over them."""
+        return range(self.n - self.k + 1, self.n + 1)
+
 
 def _s_plus(c: int) -> Polynomial:
     return Polynomial((c, 1))
@@ -61,7 +66,7 @@ def product_form(p: OrderStatParams) -> RationalFunction:
     """Transform as a finite product: constant numerator, denominator of degree k."""
     numer = 1
     denom = Polynomial((1,))
-    for j in range(p.n - p.k + 1, p.n + 1):
+    for j in p.rates:
         numer *= j
         denom = denom * _s_plus(j)
     return RationalFunction(Polynomial((numer,)), denom)
@@ -125,7 +130,7 @@ def erlang_weighted_sum(p: OrderStatParams, r: int, s: Scalar) -> Rational:
         raise ValueError(f"Erlang shape must be >= 1, got {r}")
     s = _positive_rational(s)
     a, b = s.numerator, s.denominator
-    cs = range(p.n - p.k + 1, p.n + 1)
+    cs = p.rates
     u = [Fraction(math.prod(c * b for c in cs), math.prod(a + c * b for c in cs))]
     h = [Fraction(*_sum_pairs([(a**q, (a + c * b) ** q) for c in cs])) for q in range(1, r)]
     for m in range(1, r):

@@ -15,11 +15,12 @@ draw, so tiling never moves a value in the stream.  Only the uniforms a
 sampler uses are transformed.  Order statistics are selected on the uniforms
 and only the kept columns are transformed: -log1p(-U) is non-decreasing, so
 it commutes with min and max and tied uniforms give equal values.  Selection
-is a min/max network pruned to the wanted sorted-order columns
-(``_select_columns``; rows longer than the network ceiling are sorted), so
-the selected values are those a sort of the exponentials would give; each
-sample reuses one network buffer for all its tiles and writes the selected
-rows straight into its result.  Sums of exponentials are row sums of each
+runs on one tile at a time (``_select_columns``), as a min/max network
+pruned to the wanted sorted-order columns, so the selected values are those
+a sort of the exponentials would give.  Each sample allocates one network
+buffer for all its tiles (``_network_buffer``; rows longer than the network
+ceiling get none and are sorted), and the selected rows go straight into
+the sample's result.  Sums of exponentials are row sums of each
 tile (``_row_sums``), in numpy's order for the whole draw: a row of fewer
 than 8 values is added left to right, column by column in place in the
 spent tile, and a longer row goes to numpy's pairwise sum.  No sampler holds
@@ -67,9 +68,9 @@ __all__ = [
 # the race's stream layout: each segment of _CHUNK_CELLS // (n + r) rows draws
 # its n order-statistic columns, then its r gamma columns
 _CHUNK_CELLS = 1 << 22
-# longest row _select_columns runs its network on; longer rows are sorted
+# longest row _network_buffer gives a network buffer for; longer rows are sorted
 _NETWORK_MAX_N = 12
-# rows per draw and network tile, so a draw tile holds at most 12 * 128 KiB
+# rows per draw and selection tile, so a draw tile holds at most 12 * 128 KiB
 # and the (n + 1, tile) network buffer (n + 1) * 128 KiB
 _TILE_ROWS = 1 << 14
 # numpy sums a row of this many values or more pairwise, a shorter row left to right
@@ -223,57 +224,48 @@ def _network(n: int, cols: tuple[int, ...]):
 
 
 def _select_columns(
-    block: np.ndarray,
-    cols: tuple[int, ...],
-    out: Optional[np.ndarray] = None,
-    buffer: Optional[np.ndarray] = None,
+    block: np.ndarray, cols: tuple[int, ...], out: np.ndarray, buffer: Optional[np.ndarray]
 ) -> np.ndarray:
-    """Columns cols of the row-sorted (rows, n) block, into out, a (len(cols), rows) array.
+    """Columns cols of the (rows, n) tile block with its rows sorted, into out, (len(cols), rows).
 
-    out is a new array if None.  For n <= _NETWORK_MAX_N the rows are not
-    sorted, and the block is only read.  Batcher's odd-even merge network
-    for n (Batcher, AFIPS 1968) is pruned backwards to the comparators that
-    can reach cols (see ``_network``) and run on tiles of at most _TILE_ROWS
-    rows: each tile is copied, transposed, into an (n + 1, tile) network
-    buffer (buffer, if given, so that a caller selecting on many blocks
-    reuses one), so every comparator is an elementwise np.minimum or
-    np.maximum on contiguous rows that stay in cache, and the selected rows
-    are copied straight into out.  Min and max are exact, so the result
-    equals ``np.sort(block, axis=1)[:, cols].T`` bit for bit on draws, which
-    hold no nan and no -0.0.  Above _NETWORK_MAX_N the block is sorted in
-    place and the columns copied out.
-
-    The ceiling is measured: at 10^5 rows of exponential draws on a 2-core
-    Xeon with 2 MiB of L2 per core (numpy 2.4, best of 7-15), the network for
-    the costliest cols of each n took 1.8 ms at n = 6 and 5.2 ms at n = 12,
-    against 4.2 and 6.6 ms for the row sort.  At n = 13-14 the margin was
-    under 10% and flipped between runs (6.2-6.3 ms against 5.7-6.8 ms), and
-    from n = 15 the network lost (12-17 ms against 6-10 ms).
+    buffer is ``_network_buffer(n, m)`` for some m >= rows; a block with
+    more rows does not fit its copy into the buffer and raises ValueError.
+    With a buffer the block is only read: Batcher's odd-even merge network
+    for n (Batcher, AFIPS 1968), pruned backwards to the comparators that
+    can reach cols (see ``_network``), runs on the block copied, transposed,
+    into the buffer, so every comparator is an elementwise np.minimum or
+    np.maximum on contiguous rows that stay in cache.  Min and max are
+    exact, so the result equals ``np.sort(block, axis=1)[:, cols].T`` bit
+    for bit on draws, which hold no nan and no -0.0.  With buffer None the
+    block is sorted in place and the columns copied out.
     """
-    rows, n = block.shape
-    if out is None:
-        out = np.empty((len(cols), rows))
-    if n > _NETWORK_MAX_N:
+    if buffer is None:
         block.sort(axis=1)
         for row, c in zip(out, cols):
             row[:] = block[:, c]
         return out
+    rows, n = block.shape
     steps, out_rows = _network(n, cols)
-    if buffer is None:
-        buffer = np.empty((n + 1, min(rows, _TILE_ROWS)))
-    for start in range(0, rows, _TILE_ROWS):
-        stop = min(start + _TILE_ROWS, rows)
-        tile = buffer[:, : stop - start]
-        tile[:n] = block[start:stop].T
-        for ufunc, x, y, z in steps:
-            ufunc(tile[x], tile[y], out=tile[z])
-        for c, r in enumerate(out_rows):
-            out[c, start:stop] = tile[r]
+    tile = buffer[:, :rows]
+    tile[:n] = block.T
+    for ufunc, x, y, z in steps:
+        ufunc(tile[x], tile[y], out=tile[z])
+    for row, r in zip(out, out_rows):
+        row[:] = tile[r]
     return out
 
 
 def _network_buffer(n: int, rows: int) -> Optional[np.ndarray]:
-    """The (n + 1, rows) buffer _select_columns runs its network in; None above the ceiling."""
+    """The (n + 1, rows) network buffer of _select_columns; None, to sort, above the ceiling.
+
+    The ceiling _NETWORK_MAX_N is measured: at 10^5 rows of exponential
+    draws on a 2-core Xeon with 2 MiB of L2 per core (numpy 2.4, best of
+    7-15), the network for the costliest cols of each n took 1.8 ms at n = 6
+    and 5.2 ms at n = 12, against 4.2 and 6.6 ms for the row sort.  At
+    n = 13-14 the margin was under 10% and flipped between runs (6.2-6.3 ms
+    against 5.7-6.8 ms), and from n = 15 the network lost (12-17 ms against
+    6-10 ms).
+    """
     return np.empty((n + 1, rows)) if n <= _NETWORK_MAX_N else None
 
 
@@ -333,7 +325,7 @@ def sample_orderstat_representation(
     (count, k) block of exponentials over rates.
     """
     _check_count(count)
-    rates = np.arange(p.n - p.k + 1, p.n + 1, dtype=np.float64)
+    rates = np.array(p.rates, dtype=np.float64)
     values = np.empty(count)
     for start, u in _uniform_tiles(stream.generator(), p.k, count):
         _row_sums(_to_exponential(u), values[start : start + len(u)], rates)

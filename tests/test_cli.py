@@ -269,6 +269,16 @@ class TestConvergeCommand:
         abs_error = float(last.split(",")[-1])
         assert abs_error < 1.000001e-6
 
+    def test_variance_rows_are_audited(self, capsys, monkeypatch):
+        """A variance row outside the Basel bracket 1/(n+1) < error < 1/n fails the run."""
+        import exporder.convergence as convergence
+
+        drifted = convergence.ConvergenceRow(10, 1.0, convergence.PI_SQUARED_OVER_6, 0.2)
+        monkeypatch.setattr(convergence, "variance_convergence_check", lambda n_list: [drifted])
+        code, out = run_cli(["converge", "--targets", "variance", "--n", "10"], capsys)
+        assert code == 1
+        assert "PROBLEM variance: error outside (1/(n+1), 1/n) at n=10\n" in out
+
     def test_tail_with_csv_is_usage_error(self, capsys):
         code, _ = run_cli(["converge", "--targets", "tail", "--format", "csv"], capsys)
         assert code == 2

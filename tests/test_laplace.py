@@ -36,6 +36,14 @@ class TestParams:
         p = OrderStatParams(5, 2)
         assert (p.n, p.k) == (5, 2)
 
+    def test_rates(self):
+        """X_(k) sums E_j / j over k rates that end at n."""
+        assert list(OrderStatParams(5, 3).rates) == [3, 4, 5]
+        assert list(OrderStatParams(12, 1).rates) == [12]
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                assert list(OrderStatParams(n, k).rates) == [n - k + 1 + i for i in range(k)]
+
 
 class TestProductForm:
     def test_single_factor(self):

@@ -1,0 +1,69 @@
+"""Power of `simulate`: a sampler with one planted defect fails exactly the cells it should.
+
+Each test wraps one sampler of the default `simulate` run, so the run draws
+from a wrong law in some cells, and checks the exit code and the set of
+failing test ids.  Every other cell keeps its seeded draws and still passes.
+"""
+
+import json
+from dataclasses import replace
+
+import pytest
+
+import exporder.cli as cli
+import exporder.sampling as sampling
+from exporder.laplace import OrderStatParams
+
+CELLS = [(n, k) for n in range(1, 7) for k in range(1, n + 1)]
+
+
+def failing_ids(capsys):
+    code = cli.main(["simulate", "--format", "json"])
+    results = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(results) == 2 * len(CELLS)
+    return code, {r["test_id"] for r in results if r["verdict"] == "fail"}
+
+
+def ids(family, cells):
+    return {f"{family}[n={n},k={k}]" for n, k in cells}
+
+
+@pytest.fixture(autouse=True)
+def default_seed(monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+
+
+@pytest.mark.parametrize(
+    "shift, cells",
+    [(1, CELLS), (-1, [(n, k) for n, k in CELLS if k < n])],
+    ids=["rates_one_up", "rates_one_down"],
+)
+def test_representation_with_shifted_rates(monkeypatch, capsys, shift, cells):
+    """Rates n-k+1+shift..n+shift fail every shifted sampler_equivalence cell, and no spacing."""
+    honest = sampling.sample_orderstat_representation
+
+    def shifted(stream, p, count):
+        if p.k == p.n and shift < 0:
+            return honest(stream, p, count)
+        return honest(stream, OrderStatParams(p.n + shift, p.k), count)
+
+    monkeypatch.setattr(sampling, "sample_orderstat_representation", shifted)
+    code, failed = failing_ids(capsys)
+    assert code == 1
+    assert failed == ids("sampler_equivalence", cells)
+
+
+def test_spacings_scaled_by_the_next_rate(monkeypatch, capsys):
+    """Spacings scaled by n-k in place of n-k+1 fail every k < n spacing cell, and nothing else."""
+    honest = sampling.sample_normalized_spacings
+
+    def scaled(stream, n, k, count):
+        batch = honest(stream, n, k, count)
+        if k == n:
+            return batch
+        return replace(batch, values=batch.values * ((n - k) / (n - k + 1)))
+
+    monkeypatch.setattr(sampling, "sample_normalized_spacings", scaled)
+    code, failed = failing_ids(capsys)
+    assert code == 1
+    assert failed == ids("spacing_unit_exponential", [(n, k) for n, k in CELLS if k < n])

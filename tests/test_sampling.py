@@ -181,6 +181,15 @@ def _old_sorted_blocks(stream, n, count, extra=0):
         yield gen, rows, block
 
 
+def _select(block, cols, spare=0):
+    """_select_columns on one tile, into a new out, with a network buffer spare rows too long."""
+    rows, n = block.shape
+    out = np.empty((len(cols), rows))
+    got = sampling._select_columns(block, cols, out, sampling._network_buffer(n, rows + spare))
+    assert got is out
+    return got
+
+
 class TestSelectColumns:
     @pytest.mark.parametrize("n", range(1, CEILING + 1))
     def test_zero_one_principle(self, n):
@@ -188,26 +197,33 @@ class TestSelectColumns:
         block = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
         expected = np.sort(block, axis=1)
         for cols in _sampler_cols(n):
-            assert np.array_equal(sampling._select_columns(block, cols), expected[:, cols].T), cols
+            assert np.array_equal(_select(block, cols), expected[:, cols].T), cols
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(1, CEILING + 2), rows=st.integers(1, 40),
-           tile=st.integers(1, 16), ties=st.booleans())
-    def test_equals_sorted_columns(self, data, n, rows, tile, ties):
+           spare=st.integers(0, 16), ties=st.booleans())
+    def test_equals_sorted_columns(self, data, n, rows, spare, ties):
         values = st.sampled_from([0.0, 0.5, 1.0]) if ties else st.floats(0.0, 1e300)
         flat = data.draw(st.lists(values, min_size=rows * n, max_size=rows * n))
         k = data.draw(st.integers(1, n))
         cols = (k - 1,) if k == 1 or data.draw(st.booleans()) else (k - 2, k - 1)
         block = np.array(flat).reshape(rows, n)
         original = block.copy()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampling, "_TILE_ROWS", tile)
-            got = sampling._select_columns(block, cols)
+        got = _select(block, cols, spare)
         expected = np.sort(original, axis=1)
         assert got.shape == (len(cols), rows)
         assert got.tobytes() == np.ascontiguousarray(expected[:, cols].T).tobytes()
         # the network only reads the block; the row sort above the ceiling sorts it in place
         assert block.tobytes() == (original if n <= CEILING else expected).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 6, CEILING])
+    def test_block_longer_than_buffer_raises(self, n):
+        """A tile with more rows than the network buffer raises; no row is dropped."""
+        block = SeededStream(4).generator().random((9, n))
+        out = np.zeros((1, 9))
+        with pytest.raises(ValueError):
+            sampling._select_columns(block, (n - 1,), out, sampling._network_buffer(n, 8))
+        assert not out.any()
 
     @pytest.mark.parametrize("n", [CEILING, CEILING + 1])
     def test_samplers_match_sort_then_column(self, n, monkeypatch):

@@ -22,6 +22,7 @@ _EXPORTS = {
         "erlang_weighted_sum",
         "generalized_double_sum",
         "product_form",
+        "product_value",
     ),
     "identities": (
         "IdentityReport",

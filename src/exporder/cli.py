@@ -408,6 +408,8 @@ _COMMANDS = {
 
 def _output_errno(path: str) -> Optional[int]:
     """The errno that writing path would surely fail with, or None; touches no file."""
+    if not path:
+        return errno.ENOENT  # open("") fails so
     if os.path.exists(path):
         if os.path.isdir(path):
             return errno.EISDIR
@@ -428,10 +430,10 @@ def run(config: RunConfig) -> int:
     path = config.output_path
     # a path that cannot be written fails before the work, and the file is
     # opened only after it, so a failed command leaves an old file as it was
-    if path and (err := _output_errno(path)):
+    if path is not None and (err := _output_errno(path)):
         return _cannot_write(path, os.strerror(err))
     code, text = _COMMANDS[config.command](config)
-    if not path:
+    if path is None:
         sys.stdout.write(text)
         return code
     try:

@@ -62,6 +62,8 @@ DEFAULT_ALPHA = 0.001
 
 # largest x whose e^x is a finite float (the tail audit's upper limit)
 _TAIL_X_MAX = math.log(sys.float_info.max)
+# largest sample size the shifted-maximum cdf takes as a float
+_ZN_N_MAX = sys.float_info.max
 _GUMBEL_GRID_POINTS = 2000
 
 
@@ -274,10 +276,17 @@ def _zn_cdf_array(n: int, x: np.ndarray) -> np.ndarray:
     """cdf of (max of n unit exponentials) - ln n over a float array: (1 - e^-x / n)^n.
 
     Zero for x < -ln n (the formula's base would go negative there); the
-    power is taken as exp(n*log1p(.)) for accuracy at large n.
+    power is taken as exp(n*log1p(.)) for accuracy at large n.  Where that
+    product overflows to -inf near the lower end, exp gives the right 0.  n
+    above the largest float (~1.8e308) is rejected: it has no float value.
     """
+    if n > _ZN_N_MAX:
+        raise ValueError(
+            f"sample size n must be <= {_ZN_N_MAX!r} (the largest float), "
+            f"got one of {len(str(n))} digits"
+        )
     ratio = np.exp(-x) / n
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals = np.where(ratio < 1.0, np.exp(n * np.log1p(-np.minimum(ratio, 1.0))), 0.0)
     return vals
 

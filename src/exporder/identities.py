@@ -7,6 +7,16 @@ functions, plain equality for rationals).  :func:`run_suite` sweeps the
 whole family over a parameter grid and returns reports in a deterministic
 order, and reports serialize to JSON lines for machine consumption.
 
+The product form prod_j j/(s+j) enters the pointwise checkers two ways.
+``verify_max_order_value`` reads its value from ``laplace.product_value``.
+``verify_nested`` and ``verify_square_closed_form`` evaluate the structural
+``product_form(p)`` at s.  The square family must: its left side is
+``erlang_weighted_sum``, whose first term is ``product_value``, so a fault
+in ``product_value`` would cancel there if the right side read it too.
+With the structural right side, such a fault fails every
+``double_sum_max_order`` value report, ``power_sum_vs_derivative_sum`` and
+``square_power_closed_form``.
+
 Identity ids name what is being compared:
 
     product_vs_double_sum            product form == double-sum form (all s)
@@ -35,6 +45,7 @@ from .laplace import (
     erlang_weighted_sum,
     generalized_double_sum,
     product_form,
+    product_value,
 )
 
 __all__ = [
@@ -126,13 +137,13 @@ def verify_max_order_value(n: int, s: Rational) -> IdentityReport:
     """k=n identity at one rational s > 0: alternating single sum vs product value.
 
     The left side is the k=n double sum, whose coefficients A_c reduce to
-    (-1)^c C(n,c); the right side multiplies out prod_{j<=n} j/(s+j).
+    (-1)^c C(n,c); the right side is prod_{j<=n} j/(s+j) from
+    :func:`~exporder.laplace.product_value`.
     """
+    p = OrderStatParams(n, n)
     s = Fraction(s)
-    lhs = generalized_double_sum(OrderStatParams(n, n), 1, s)
-    rhs = Fraction(1)
-    for j in range(1, n + 1):
-        rhs *= Fraction(j) / (s + j)
+    lhs = generalized_double_sum(p, 1, s)
+    rhs = product_value(p, s)
     return _report("double_sum_max_order", {"n": n, "k": n, "s": s}, lhs, rhs)
 
 

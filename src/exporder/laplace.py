@@ -7,19 +7,21 @@ The k-th smallest of n i.i.d. unit exponentials has Laplace transform
                           * s / (s + n - m + j)
 
 Both are built here as canonical :class:`RationalFunction` objects, so the
-two constructions can be compared structurally.  On top of them sit the
-alternating derivative sum that gives the probability that an independent
-Erlang variable outlasts the order statistic, and the same probability
-written as a double sum with r-th powers.  These two are evaluated at a
-rational point s with exact integer and Fraction arithmetic, not as
-rational functions; no derivative is ever built.  Leibniz on f' = f*g,
-g = -sum_c 1/(s+c), turns u_j = (-s)^j f^(j)(s) / j! into the positive
-recurrence
+two constructions can be compared structurally.  The product form's value
+at one rational point is :func:`product_value`, taken in integers.  On top
+of them sit the alternating derivative sum that gives the probability that
+an independent Erlang variable outlasts the order statistic, and the same
+probability written as a double sum with r-th powers.  These two are
+evaluated at a rational point s with exact integer and Fraction
+arithmetic, not as rational functions; no derivative is ever built.
+Leibniz on f' = f*g, g = -sum_c 1/(s+c), turns u_j = (-s)^j f^(j)(s) / j!
+into the positive recurrence
 
     u_0 = f(s),   u_{m+1} = 1/(m+1) * sum_{i<=m} u_i * H_{m+1-i},
     H_q = sum_{c=n-k+1}^{n} (s/(s+c))^q,
 
-and the derivative sum is u_0 + ... + u_{r-1}.
+with u_0 from :func:`product_value`, and the derivative sum is
+u_0 + ... + u_{r-1}.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "OrderStatParams",
     "product_form",
     "double_sum_form",
+    "product_value",
     "erlang_weighted_sum",
     "generalized_double_sum",
 ]
@@ -110,6 +113,17 @@ def _positive_rational(s: Scalar) -> Fraction:
     return s
 
 
+def product_value(p: OrderStatParams, s: Scalar) -> Fraction:
+    """The product form at one rational s > 0: prod_c c/(s+c) over c = n-k+1..n.
+
+    For s = a/b this is prod c*b / prod (a + c*b), two integer products and
+    one normalization, with no rational function built.
+    """
+    s = _positive_rational(s)
+    a, b = s.numerator, s.denominator
+    return Fraction(math.prod(c * b for c in p.rates), math.prod(a + c * b for c in p.rates))
+
+
 def erlang_weighted_sum(p: OrderStatParams, r: int, s: Scalar) -> Rational:
     """sum_{j=0}^{r-1} (-1)^j s^j / j! * f^(j)(s), evaluated exactly.
 
@@ -130,9 +144,8 @@ def erlang_weighted_sum(p: OrderStatParams, r: int, s: Scalar) -> Rational:
         raise ValueError(f"Erlang shape must be >= 1, got {r}")
     s = _positive_rational(s)
     a, b = s.numerator, s.denominator
-    cs = p.rates
-    u = [Fraction(math.prod(c * b for c in cs), math.prod(a + c * b for c in cs))]
-    h = [Fraction(*_sum_pairs([(a**q, (a + c * b) ** q) for c in cs])) for q in range(1, r)]
+    u = [product_value(p, s)]
+    h = [Fraction(*_sum_pairs([(a**q, (a + c * b) ** q) for c in p.rates])) for q in range(1, r)]
     for m in range(1, r):
         u.append(sum(u[i] * h[m - 1 - i] for i in range(m)) / m)
     return sum(u)

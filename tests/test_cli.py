@@ -218,6 +218,12 @@ class TestOutputPath:
         reason = "No such file or directory" if missing else "Is a directory"
         assert capsys.readouterr().err == f"exporder: cannot write {target}: {reason}\n"
 
+    def test_empty_output_path_is_usage_error(self, capsys):
+        assert cli.main(["race", "--replicates", "1000", "--output", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "exporder: cannot write : No such file or directory\n"
+
     def test_failed_command_keeps_an_old_file(self, tmp_path, monkeypatch):
         target = tmp_path / "old.json"
         target.write_bytes(b"old bytes")

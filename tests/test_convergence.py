@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -396,6 +397,29 @@ class TestTailBoundAudit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             results = tail_bound_audit([10], [709.0])
+        assert all(r.passed for r in results)
+
+
+class TestShiftedMaximumSizes:
+    """n beyond the largest float is a ValueError; up to it the results are finite."""
+
+    @pytest.mark.parametrize("run", [
+        lambda n: gumbel_approx_error([n]),
+        lambda n: tail_bound_audit([n], [1.0]),
+    ], ids=["gumbel", "tail"])
+    def test_beyond_float_range_rejected(self, run):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="largest float"):
+                run(10**400)
+
+    @pytest.mark.parametrize("n", [int(sys.float_info.max), 10**300], ids=["float_max", "1e300"])
+    def test_within_float_range_returns(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = gumbel_approx_error([n])
+            results = tail_bound_audit([n], [1.0])
+        assert row.n == n and 0.0 <= row.abs_error < 1e-12
         assert all(r.passed for r in results)
 
 

@@ -258,6 +258,35 @@ class TestRunSuite:
             ("square_power_min_order", True),
         }
 
+    def test_planted_product_fault_is_seen_against_the_structural_form(self, monkeypatch):
+        # laplace.product_value is the value side of the max-order family and
+        # the first term of erlang_weighted_sum, so a wrong product must fail
+        # both.  square_power_closed_form's left side is erlang_weighted_sum;
+        # its right side evaluates the structural product_form, so the fault
+        # shows there too.  Were that right side product_value as well, the
+        # fault would scale both sides alike and the family would pass it.
+        import exporder.identities as identities
+        import exporder.laplace as laplace
+
+        product_value = laplace.product_value
+
+        def faulty(p, s):
+            return product_value(p, s) * F(1001, 1000)
+
+        monkeypatch.setattr(laplace, "product_value", faulty)
+        monkeypatch.setattr(identities, "product_value", faulty)
+        reports = run_suite(4, 2, (F(1),))
+        failed = [(r.identity_id, "s" in r.params) for r in reports if not r.matched]
+        assert set(failed) == {
+            ("double_sum_max_order", True),
+            ("power_sum_vs_derivative_sum", True),
+            ("square_power_closed_form", True),
+        }
+        # every report of those three: one per max-order n, and per (n, k) cell
+        # two power sums (r = 1, 2) and one square
+        cells = sum(range(1, DEFAULT_MAX_N_POWER + 1))
+        assert len(failed) == DEFAULT_MAX_N_POINTWISE + 2 * cells + cells
+
 
 class TestSerialization:
     def test_rational_sides_as_fraction_strings(self):

@@ -14,7 +14,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # the names `from exporder import *` binds, one entry per submodule
 PUBLIC = {
     "exact": "Polynomial Rational RationalFunction binomial poly_gcd",
-    "laplace": "OrderStatParams double_sum_form erlang_weighted_sum generalized_double_sum product_form",
+    "laplace": (
+        "OrderStatParams double_sum_form erlang_weighted_sum generalized_double_sum "
+        "product_form product_value"
+    ),
     "identities": (
         "IdentityReport binomial_invert report_to_json reports_to_json_lines run_suite "
         "verify_generalized verify_integer_rate verify_inversion_involution verify_main "
@@ -65,7 +68,7 @@ def test_exact_submodules_load_without_numpy():
 
 def test_every_public_name_resolves_to_its_submodule():
     names = [name for text in PUBLIC.values() for name in text.split()]
-    assert len(names) == 49
+    assert len(names) == 50
     for module, text in PUBLIC.items():
         sub = importlib.import_module(f"exporder.{module}")
         assert getattr(exporder, module) is sub
@@ -74,6 +77,6 @@ def test_every_public_name_resolves_to_its_submodule():
     star: dict = {}
     exec("from exporder import *", star)
     wanted = {*PUBLIC, *names}
-    assert len(wanted) == 55
+    assert len(wanted) == 56
     assert wanted <= star.keys()
     assert wanted <= set(dir(exporder))

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exporder.exact import Polynomial, RationalFunction, binomial
+from exporder.identities import DEFAULT_S_GRID
 from exporder.laplace import (
     OrderStatParams,
     double_sum_form,
     erlang_weighted_sum,
     generalized_double_sum,
     product_form,
+    product_value,
 )
 
 F = Fraction
@@ -63,6 +65,23 @@ class TestProductForm:
                 f = product_form(OrderStatParams(n, k))
                 assert f.denom.degree == k
                 assert f.numer.degree == 0
+
+
+class TestProductValue:
+    @pytest.mark.parametrize("s", sorted({*DEFAULT_S_GRID, F(1, 100), F(13, 7), F(10**6)}))
+    def test_equals_the_structural_form(self, s):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                p = OrderStatParams(n, k)
+                assert product_value(p, s) == product_form(p).evaluate(s)
+
+    def test_int_argument(self):
+        assert product_value(OrderStatParams(3, 2), 1) == F(1, 2)
+
+    @pytest.mark.parametrize("s", [0, F(-1, 2), -3])
+    def test_nonpositive_s_rejected(self, s):
+        with pytest.raises(ValueError, match="must be > 0"):
+            product_value(OrderStatParams(3, 2), s)
 
 
 class TestDoubleSumForm:

@@ -263,7 +263,9 @@ class RationalFunction:
         if numer.is_zero:
             numer, denom = Polynomial(), _ONE
         else:
-            g = poly_gcd(numer, denom)
+            # a constant side shares no polynomial factor with the other, so
+            # its gcd is 1 without Euclid; content and sign are still taken
+            g = poly_gcd(numer, denom) if numer.degree and denom.degree else _ONE
             if g.degree > 0:
                 numer = numer.divexact(g)
                 denom = denom.divexact(g)

@@ -8,14 +8,16 @@ whole family over a parameter grid and returns reports in a deterministic
 order, and reports serialize to JSON lines for machine consumption.
 
 The product form prod_j j/(s+j) enters the pointwise checkers two ways.
-``verify_max_order_value`` reads its value from ``laplace.product_value``.
-``verify_nested`` and ``verify_square_closed_form`` evaluate the structural
-``product_form(p)`` at s.  The square family must: its left side is
-``erlang_weighted_sum``, whose first term is ``product_value``, so a fault
-in ``product_value`` would cancel there if the right side read it too.
-With the structural right side, such a fault fails every
-``double_sum_max_order`` value report, ``power_sum_vs_derivative_sum`` and
-``square_power_closed_form``.
+``laplace.product_value`` gives its value on one side:
+``verify_max_order_value``'s right side, ``verify_nested``'s left side (one
+max-order product per term), and the first term of ``erlang_weighted_sum``,
+the left side of ``verify_generalized`` and ``verify_square_closed_form``.
+The right sides of ``verify_nested`` and ``verify_square_closed_form``
+evaluate the structural ``product_form(p)`` at s.  They must: were they
+``product_value`` too, a fault in it would scale both sides alike and
+cancel.  With the structural right sides, such a fault fails every
+``double_sum_max_order`` value report, ``nested_product_sum``,
+``power_sum_vs_derivative_sum`` and ``square_power_closed_form``.
 
 Identity ids name what is being compared:
 
@@ -157,17 +159,21 @@ def verify_integer_rate(n: int, k_s: int) -> IdentityReport:
 
 
 def verify_nested(n: int, k: int, s: Rational) -> IdentityReport:
-    """Single sum of binomial-weighted products vs the product form, at one s."""
+    """Single sum of binomial-weighted products vs the product form, at one s > 0.
+
+    The left side is sum_{m=k}^{n} C(n,m) s/(s+n-m) prod_{i<=m} i/(s+n-m+i),
+    each product the max-order transform of m variables at s+n-m, read from
+    :func:`~exporder.laplace.product_value`.  The right side evaluates the
+    structural ``product_form(p)`` at s.
+    """
     p = OrderStatParams(n, k)
     s = Fraction(s)
     if s <= 0:
         raise ValueError(f"s must be > 0, got {s}")
-    lhs = Fraction(0)
-    for m in range(k, n + 1):
-        term = binomial(n, m) * s / (s + n - m)
-        for i in range(1, m + 1):
-            term *= Fraction(i) / (s + n - m + i)
-        lhs += term
+    lhs = sum(
+        binomial(n, m) * s / (s + n - m) * product_value(OrderStatParams(m, m), s + n - m)
+        for m in range(k, n + 1)
+    )
     rhs = product_form(p).evaluate(s)
     return _report("nested_product_sum", {"n": n, "k": k, "s": s}, lhs, rhs)
 
@@ -223,32 +229,42 @@ def verify_inversion_involution(a: Sequence[Rational], index: int = 0) -> Identi
 
 
 def _run_case(check: Callable, identity_id: str, params: dict, *args) -> IdentityReport:
-    # check(*args), or check(**params) when no args are given; an error
-    # becomes a mismatch report so one bad cell cannot abort a sweep
+    # check(*args), or check(*params.values()) when no args are given; an
+    # error becomes a mismatch report so one bad cell cannot abort a sweep
     try:
-        return check(*args) if args else check(**params)
+        return check(*(args or params.values()))
     except Exception as exc:  # noqa: BLE001 - deliberate aggregation
         params = {**params, "error": f"{type(exc).__name__}: {exc}"}
         return IdentityReport(identity_id, params, Fraction(0), Fraction(0), MISMATCH)
 
 
 def _cases(max_n: int, max_r: int, s_grid: tuple) -> Iterator[tuple]:
-    # (checker, identity id, params[, args]) per grid cell; the verify_* module
-    # globals are read at each yield, so a rebound checker (a test's injected
-    # fault, a tracer) is the one run
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            yield verify_main, "product_vs_double_sum", {"n": n, "k": k}
-        yield verify_min_order, "double_sum_min_order", {"n": n}
-        yield verify_max_order, "double_sum_max_order", {"n": n}
+    # (checker, identity id, params[, args]) per grid cell, in report order:
+    # identity id, then n, k (or k_s), r, s and index, with params in the
+    # checker's positional order.  The verify_* module globals are read at
+    # each yield, so a rebound checker (a test's injected fault, a tracer)
+    # is the one run
+    for n in range(1, max(max_n, DEFAULT_MAX_N_POINTWISE) + 1):
+        if n <= max_n:
+            yield verify_max_order, "double_sum_max_order", {"n": n}
+        if n <= DEFAULT_MAX_N_POINTWISE:
+            for s in s_grid:
+                yield verify_max_order_value, "double_sum_max_order", {"n": n, "s": s}
 
-    for n in range(1, DEFAULT_MAX_N_POINTWISE + 1):
-        for s in s_grid:
-            yield verify_max_order_value, "double_sum_max_order", {"n": n, "s": s}
+    for n in range(1, max_n + 1):
+        yield verify_min_order, "double_sum_min_order", {"n": n}
 
     for n in range(1, DEFAULT_MAX_INTEGER_RATE + 1):
         for k_s in range(1, DEFAULT_MAX_INTEGER_RATE + 1):
             yield verify_integer_rate, "integer_rate_reciprocal_binomial", {"n": n, "k_s": k_s}
+
+    rng = random.Random(_INVOLUTION_SEED)
+    for idx, length in enumerate(_INVOLUTION_LENGTHS):
+        seq = tuple(
+            Fraction(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(length)
+        )
+        params = {"length": length, "index": idx}
+        yield verify_inversion_involution, "inversion_involution", params, seq, idx
 
     for n in range(1, DEFAULT_MAX_N_NESTED + 1):
         for k in range(1, n + 1):
@@ -261,23 +277,21 @@ def _cases(max_n: int, max_r: int, s_grid: tuple) -> Iterator[tuple]:
                 for s in s_grid:
                     params = {"n": n, "k": k, "r": r, "s": s}
                     yield verify_generalized, "power_sum_vs_derivative_sum", params
-            if max_r >= 2:
+
+    for n in range(1, max_n + 1):
+        for k in range(1, n + 1):
+            yield verify_main, "product_vs_double_sum", {"n": n, "k": k}
+
+    if max_r >= 2:
+        for n in range(1, DEFAULT_MAX_N_POWER + 1):
+            for k in range(1, n + 1):
                 for s in s_grid:
                     params = {"n": n, "k": k, "s": s}
                     yield verify_square_closed_form, "square_power_closed_form", params
 
-    if max_r >= 2:
         for n in range(1, DEFAULT_MAX_N_SQUARE_MIN + 1):
             for s in s_grid:
                 yield verify_square_min_order, "square_power_min_order", {"n": n, "s": s}
-
-    rng = random.Random(_INVOLUTION_SEED)
-    for idx, length in enumerate(_INVOLUTION_LENGTHS):
-        seq = tuple(
-            Fraction(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(length)
-        )
-        params = {"length": length, "index": idx}
-        yield verify_inversion_involution, "inversion_involution", params, seq, idx
 
 
 def run_suite(
@@ -286,22 +300,15 @@ def run_suite(
     """Run every identity checker over the verification grid; deterministic order.
 
     max_n bounds the structural sweeps, max_r the power identities, and
-    s_grid holds the points of every pointwise family.  The other sweeps run
-    to the fixed DEFAULT_MAX_* ceilings.  Reports sort by identity id, then
-    n, k (or k_s), r, s and index.
+    s_grid holds the points of every pointwise family, taken in ascending
+    order.  The other sweeps run to the fixed DEFAULT_MAX_* ceilings.
+    Reports come out of ``_cases`` in report order: identity id, then n,
+    k (or k_s), r, s and index, so nothing is sorted afterwards.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    # with the grid ascending, the reports that differ only in s come out of
-    # _cases in ascending s, so the stable sort needs no Fraction comparisons
     s_grid = tuple(sorted(Fraction(s) for s in s_grid))
-    return sorted((_run_case(*case) for case in _cases(max_n, max_r, s_grid)), key=_sort_key)
-
-
-def _sort_key(report: IdentityReport):
-    p = report.params
-    k = p.get("k", p.get("k_s", 0))
-    return (report.identity_id, p.get("n", 0), k, p.get("r", 0), p.get("index", 0))
+    return [_run_case(*case) for case in _cases(max_n, max_r, s_grid)]
 
 
 def _serialize_side(side: Side):

@@ -59,6 +59,20 @@ def test_every_report_id_is_a_benchmark_identity():
     assert {r.identity_id for r in reports} - set(IDENTITY_IDS) == set()
 
 
+def test_tracer_times_every_report_of_run_suite():
+    # the traced run_suite gate adds up per-identity times, which the tracer
+    # takes from the verify_* globals that run_suite's cases read at run time
+    tracer = _load("tracing").Tracer()
+    try:
+        tracer.install()
+        reports = identities.run_suite(3, 2, (Fraction(1),))
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["identities.checks"] == len(reports)
+    assert all(f"identities.{r.identity_id}_s" in metrics for r in reports)
+
+
 def test_tracer_sees_every_sampler_batch_and_restores_the_package():
     config = cli.parse_args(["simulate", "--max-n", "2", "--replicates", "50"])
     cli._simulate_results(config)  # a sampler bound on a first, untraced call would go unseen

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exporder.exact import (
     Polynomial,
@@ -14,6 +16,7 @@ from exporder.exact import (
     poly_gcd,
     sum_fractions,
 )
+from exporder.laplace import OrderStatParams, product_form
 
 
 def pascal_triangle(rows):
@@ -276,3 +279,49 @@ class TestRationalFunction:
 
     def test_rational_type_alias(self):
         assert Rational is Fraction
+
+
+def euclid_canonical(numer, denom):
+    """Canonical (numer, denom) the general way: Euclid's gcd, then content, then sign."""
+    g = poly_gcd(numer, denom)
+    numer, denom = numer.divexact(g), denom.divexact(g)
+    c = math.gcd(numer.content(), denom.content())
+    numer = Polynomial(a // c for a in numer.coeffs)
+    denom = Polynomial(a // c for a in denom.coeffs)
+    if denom.leading < 0:
+        numer, denom = -numer, -denom
+    return numer, denom
+
+
+nonzero = st.integers(-(10**6), 10**6).filter(bool)
+# up to degree 5, times a content factor so that many are not primitive
+polynomials = st.builds(
+    lambda low, lead, scale: Polynomial([c * scale for c in (*low, lead)]),
+    st.lists(st.integers(-20, 20), max_size=5),
+    st.integers(-20, 20).filter(bool),
+    st.integers(-12, 12).filter(bool),
+)
+
+
+class TestConstantSide:
+    """A constant numerator or denominator gives the form Euclid's path gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(constant=nonzero, other=polynomials, constant_on_top=st.booleans())
+    @example(constant=-6, other=Polynomial((-4,)), constant_on_top=True)
+    @example(constant=-6, other=Polynomial((-4, -8, 12)), constant_on_top=False)
+    def test_matches_the_euclid_path(self, constant, other, constant_on_top):
+        const = Polynomial((constant,))
+        numer, denom = (const, other) if constant_on_top else (other, const)
+        f = RationalFunction(numer, denom)
+        assert (f.numer, f.denom) == euclid_canonical(numer, denom)
+
+    def test_product_form_matches_the_euclid_path(self):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                p = OrderStatParams(n, k)
+                denom = Polynomial((1,))
+                for j in p.rates:
+                    denom = denom * Polynomial((j, 1))
+                f = product_form(p)
+                assert (f.numer, f.denom) == euclid_canonical(Polynomial((math.prod(p.rates),)), denom)

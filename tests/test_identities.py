@@ -1,5 +1,6 @@
 """Identity verifiers, binomial inversion, and the batch suite."""
 
+import inspect
 import json
 import random
 from collections import Counter
@@ -13,7 +14,9 @@ from exporder.identities import (
     DEFAULT_MAX_N_NESTED,
     DEFAULT_MAX_N_POINTWISE,
     DEFAULT_MAX_N_POWER,
+    DEFAULT_S_GRID,
     IdentityReport,
+    _cases,
     binomial_invert,
     report_to_json,
     reports_to_json_lines,
@@ -110,8 +113,26 @@ class TestNested:
         assert verify_nested(8, 5, F(7, 2)).matched
 
     def test_nonpositive_s_rejected(self):
-        with pytest.raises(ValueError):
-            verify_nested(2, 1, F(-1, 2))
+        for s in (F(0), F(-1, 2)):
+            with pytest.raises(ValueError):
+                verify_nested(2, 1, s)
+
+    @pytest.mark.parametrize("n", range(1, DEFAULT_MAX_N_NESTED + 1))
+    def test_left_side_matches_the_fraction_double_loop(self, n):
+        def double_loop(n, k, s):
+            total = F(0)
+            for m in range(k, n + 1):
+                term = binomial(n, m) * s / (s + n - m)
+                for i in range(1, m + 1):
+                    term *= F(i) / (s + n - m + i)
+                total += term
+            return total
+
+        for k in range(1, n + 1):
+            for s in (*DEFAULT_S_GRID, F(1, 100), F(13, 7), F(10**6)):
+                rep = verify_nested(n, k, s)
+                assert rep.matched
+                assert rep.lhs == double_loop(n, k, s)
 
 
 class TestGeneralized:
@@ -170,6 +191,15 @@ class TestBinomialInvert:
                 assert b[n] == running
 
 
+def report_key(report):
+    """The documented report order: identity id, then n, k (or k_s), r, s, index."""
+    p = report.params
+    return (
+        report.identity_id, p.get("n", 0), p.get("k", p.get("k_s", 0)), p.get("r", 0),
+        p.get("s", 0), p.get("index", 0),
+    )
+
+
 class TestRunSuite:
     def test_small_exhaustive_run(self):
         reports = run_suite(3, 2, (F(1),))
@@ -203,15 +233,11 @@ class TestRunSuite:
         assert keys == sorted(keys)
 
     def test_unsorted_grid_reports_in_ascending_s(self):
-        reports = run_suite(2, 2, (F(2), F(1, 3), F(1), F(1, 2)))
-        keys = [
-            (r.identity_id, r.params.get("n", 0), r.params.get("k", r.params.get("k_s", 0)),
-             r.params.get("r", 0), r.params.get("s", 0), r.params.get("index", 0))
-            for r in reports
-        ]
+        reports = run_suite(2, 2, (F(2), F(1, 3), F(1), F(1, 2), F(1)))
+        keys = [report_key(r) for r in reports]
         assert keys == sorted(keys)
-        assert [r.params["s"] for r in reports if r.identity_id == "nested_product_sum"][:4] == [
-            F(1, 3), F(1, 2), F(1), F(2)
+        assert [r.params["s"] for r in reports if r.identity_id == "nested_product_sum"][:5] == [
+            F(1, 3), F(1, 2), F(1), F(1), F(2)
         ]
 
     def test_full_default_sweep_zero_mismatches(self):
@@ -259,12 +285,14 @@ class TestRunSuite:
         }
 
     def test_planted_product_fault_is_seen_against_the_structural_form(self, monkeypatch):
-        # laplace.product_value is the value side of the max-order family and
-        # the first term of erlang_weighted_sum, so a wrong product must fail
-        # both.  square_power_closed_form's left side is erlang_weighted_sum;
-        # its right side evaluates the structural product_form, so the fault
-        # shows there too.  Were that right side product_value as well, the
-        # fault would scale both sides alike and the family would pass it.
+        # laplace.product_value is the value side of the max-order family, the
+        # left side of the nested family and the first term of
+        # erlang_weighted_sum, so a wrong product must fail all three.
+        # square_power_closed_form's left side is erlang_weighted_sum; the
+        # nested and square right sides evaluate the structural product_form,
+        # so the fault shows in both.  Were either right side product_value as
+        # well, the fault would scale both sides alike and that family would
+        # pass it.
         import exporder.identities as identities
         import exporder.laplace as laplace
 
@@ -279,13 +307,38 @@ class TestRunSuite:
         failed = [(r.identity_id, "s" in r.params) for r in reports if not r.matched]
         assert set(failed) == {
             ("double_sum_max_order", True),
+            ("nested_product_sum", True),
             ("power_sum_vs_derivative_sum", True),
             ("square_power_closed_form", True),
         }
-        # every report of those three: one per max-order n, and per (n, k) cell
-        # two power sums (r = 1, 2) and one square
+        # every report of those four: one per max-order n, one per nested
+        # (n, k) cell, and per power (n, k) cell two power sums (r = 1, 2) and
+        # one square
+        nested = sum(range(1, DEFAULT_MAX_N_NESTED + 1))
         cells = sum(range(1, DEFAULT_MAX_N_POWER + 1))
-        assert len(failed) == DEFAULT_MAX_N_POINTWISE + 2 * cells + cells
+        assert len(failed) == DEFAULT_MAX_N_POINTWISE + nested + 2 * cells + cells
+
+
+class TestReportOrder:
+    @pytest.mark.parametrize("max_n, max_r", [(DEFAULT_MAX_N_POINTWISE + 1, 1), (12, 4)])
+    def test_reports_come_out_sorted(self, max_n, max_r):
+        # a structural max-order report has no s, so it leads the value reports of its n
+        reports = run_suite(max_n, max_r)
+        assert [report_key(r) for r in reports] == sorted(report_key(r) for r in reports)
+        max_order_n = [r.params["n"] for r in reports if r.identity_id == "double_sum_max_order"]
+        assert max_order_n[-1] == max(max_n, DEFAULT_MAX_N_POINTWISE)
+        if max_r < 2:
+            assert not {r.identity_id for r in reports} & {
+                "square_power_closed_form", "square_power_min_order"
+            }
+
+    def test_every_case_binds_its_params_positionally(self):
+        for check, _, params, *args in _cases(DEFAULT_MAX_N_POINTWISE + 1, 4, DEFAULT_S_GRID):
+            bound = inspect.signature(check).bind(*(args or params.values())).arguments
+            if args:
+                assert (len(bound["a"]), bound["index"]) == (params["length"], params["index"])
+            else:
+                assert bound == params
 
 
 class TestSerialization:

@@ -59,6 +59,8 @@ EXACT_SUM_LIMIT = 10_000
 _BLOCK = 1 << 15
 
 DEFAULT_ALPHA = 0.001
+# merge positions per slice of the two-sample KS walk
+_TILE = 1 << 14
 
 # largest x whose e^x is a finite float (the tail audit's upper limit)
 _TAIL_X_MAX = math.log(sys.float_info.max)
@@ -121,15 +123,15 @@ def _ks_result(test_id: str, d: float, n_eff: float, alpha: float) -> TestResult
 
 def ks_one_sample(
     batch: SampleBatch,
-    cdf: Callable[[float], float],
+    cdf: Callable[[np.ndarray], np.ndarray],
     alpha: float = DEFAULT_ALPHA,
     test_id: str = "ks_one_sample",
 ) -> TestResult:
     """One-sample KS test of a batch against a reference cdf.
 
-    cdf is called once, on the sorted sample as one array; only if that
-    raises TypeError or ValueError, or returns another shape, is it called
-    point by point on Python floats, as the annotation reads.
+    cdf is called once, on the sorted sample as one float array, and must
+    return an array of the same shape; any other shape raises ValueError,
+    and a cdf that takes only scalars fails with its own error.
 
     D+ = max(i/n - F(x_i)) and D- = max(F(x_i) - (i-1)/n) over the sorted
     sample.  The grid i/n and one difference buffer are the only arrays
@@ -142,12 +144,9 @@ def ks_one_sample(
     xs = np.sort(batch.values)
     _check_not_degenerate(xs, "sample")
     n = xs.size
-    try:
-        f = np.asarray(cdf(xs), dtype=np.float64)
-        if f.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        f = np.fromiter((cdf(float(v)) for v in xs), dtype=np.float64, count=n)
+    f = np.asarray(cdf(xs), dtype=np.float64)
+    if f.shape != xs.shape:
+        raise ValueError(f"cdf returned shape {f.shape} for a sample of shape {xs.shape}")
     grid = np.arange(1, n + 1, dtype=np.float64)
     grid /= n
     diff = np.subtract(grid, f)
@@ -155,11 +154,6 @@ def ks_one_sample(
     grid -= 1.0 / n
     d_minus = float(np.max(np.subtract(f, grid, out=diff)))
     return _ks_result(test_id, max(d_plus, d_minus, 0.0), n, alpha)
-
-
-def _spent_float64(buffer: np.ndarray) -> np.ndarray:
-    """buffer, if float64, for a float64 result of its size; else a fresh array."""
-    return buffer if buffer.dtype == np.float64 else np.empty(buffer.size)
 
 
 def ks_two_sample(
@@ -172,21 +166,16 @@ def ks_two_sample(
 
     D is the largest gap between the two empirical cdfs over the pooled
     points.  Each sample is sorted in its half of one pooled buffer, and one
-    stable argsort merges the two sorted runs; running counts of each
-    sample's points along the merge give the two cdfs' counts: one cumsum
-    counts the first sample's points, and the second sample's count at merge
-    position i is i + 1 minus the first's.  Of each run of equal pooled
+    stable argsort merges the two sorted runs.  Of each run of equal merged
     values only the last index counts: there both counts equal the number
     of points <= that value, so ties are handled exactly.
 
-    Past the merge, the pooled, merged and order buffers are spent, and the
-    counts and the gap reuse them rather than fresh pooled-size arrays,
-    whose pages would fault in again on every call: the counts go into
-    order, the first cdf's count over na into pooled and the second's over
-    nb into merged.  The membership mask is freed before the one pooled-size
-    temporary, the merge positions, is made.  pooled and merged take float64
-    only when the samples are float64; for another dtype those two are
-    fresh float64 arrays, so D is the same float for every dtype.
+    The merge is walked in slices of _TILE positions.  In each, a cumsum of
+    the first sample's points plus the count carried from the slices
+    before gives that sample's count c_a at each 1-based position i, the
+    second's is i - c_a, and the slice's largest |c_a/na - (i - c_a)/nb| at
+    a run end updates D.  So past the sort and the merge, no temporary
+    grows with the samples, and D is the same float for every dtype.
     """
     na, nb = a.values.size, b.values.size
     pooled = np.concatenate([a.values, b.values])
@@ -200,12 +189,15 @@ def ks_two_sample(
     last = np.empty(pooled.size, dtype=bool)
     np.not_equal(merged[1:], merged[:-1], out=last[:-1])
     last[-1] = True
-    counts = np.cumsum(order < na, out=order)
-    gap = np.divide(counts, na, out=_spent_float64(pooled))
-    np.subtract(np.arange(1, counts.size + 1), counts, out=counts)
-    gap -= np.divide(counts, nb, out=_spent_float64(merged))
-    np.abs(gap, out=gap)
-    d = float(np.max(gap, where=last, initial=0.0))
+    d, carried = 0.0, 0
+    for lo in range(0, order.size, _TILE):
+        counts = np.cumsum(order[lo : lo + _TILE] < na)
+        counts += carried
+        carried = int(counts[-1])
+        gap = counts / na
+        gap -= (np.arange(lo + 1, lo + 1 + counts.size) - counts) / nb
+        np.abs(gap, out=gap)
+        d = float(np.max(gap, where=last[lo : lo + _TILE], initial=d))
     return _ks_result(test_id, d, na * nb / (na + nb), alpha)
 
 

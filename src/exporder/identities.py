@@ -5,7 +5,8 @@ arithmetic and returns an :class:`IdentityReport`; "exact_match" means the
 sides are identical in canonical form (structural equality for rational
 functions, plain equality for rationals).  :func:`run_suite` sweeps the
 whole family over a parameter grid and returns reports in a deterministic
-order, and reports serialize to JSON lines for machine consumption.
+order, and reports serialize to JSON lines through one ``json`` encoder,
+whose hook writes rational functions and fractions exactly.
 
 The product form prod_j j/(s+j) enters the pointwise checkers two ways.
 ``laplace.product_value`` gives its value on one side:
@@ -38,7 +39,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence
 
 from .exact import Polynomial, Rational, RationalFunction, binomial
 from .laplace import (
@@ -68,7 +69,7 @@ __all__ = [
     "reports_to_json_lines",
 ]
 
-Side = Union[Rational, RationalFunction, tuple]
+Side = Rational | RationalFunction | tuple
 
 EXACT_MATCH = "exact_match"
 MISMATCH = "mismatch"
@@ -311,24 +312,23 @@ def run_suite(
     return [_run_case(*case) for case in _cases(max_n, max_r, s_grid)]
 
 
-def _serialize_side(side: Side):
-    if isinstance(side, RationalFunction):
-        return {"numer": list(side.numer.coeffs), "denom": list(side.denom.coeffs)}
-    if isinstance(side, tuple):
-        return [str(x) for x in side]
-    return str(side)
+def _exact_value(value):
+    """json's hook: a rational function as its coefficient lists, a fraction as its string."""
+    if isinstance(value, RationalFunction):
+        return {"numer": list(value.numer.coeffs), "denom": list(value.denom.coeffs)}
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"a report holds no {type(value).__name__}: {value!r}")
+
+
+_JSON = json.JSONEncoder(sort_keys=True, default=_exact_value).encode
 
 
 def report_to_json(report: IdentityReport) -> str:
-    """One report as a JSON object (one line); fractions as exact strings."""
-    payload = {
-        "identity_id": report.identity_id,
-        "params": {key: str(v) if isinstance(v, Fraction) else v for key, v in report.params.items()},
-        "lhs": _serialize_side(report.lhs),
-        "rhs": _serialize_side(report.rhs),
-        "verdict": report.verdict,
-    }
-    return json.dumps(payload, sort_keys=True)
+    """One report as a JSON object (one line); a side outside ``Side`` raises TypeError."""
+    if not (isinstance(report.lhs, Side) and isinstance(report.rhs, Side)):
+        raise TypeError(f"report sides are Fraction, RationalFunction or tuple: {report!r}")
+    return _JSON(vars(report))
 
 
 def reports_to_json_lines(reports: Sequence[IdentityReport]) -> str:

@@ -9,7 +9,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import kolmogorov
 
@@ -22,6 +22,7 @@ from exporder.convergence import (
     ConvergenceRow,
     TestResult as ResultRecord,
     _BLOCK,
+    _TILE,
     _kolmogorov_pvalue,
     _recip_power_sum_value,
     basel_table,
@@ -157,11 +158,25 @@ class TestKsOneSample:
         with pytest.raises(ValueError):
             ks_one_sample(batch, unit_exp_cdf)
 
-    def test_scalar_only_cdf_accepted(self):
+    def test_scalar_only_cdf_fails_with_its_own_error(self):
+        """The cdf is called once on the sorted sample; there is no point-by-point retry."""
         batch = exponentials(SeededStream(11, 3), 2000)
-        result = ks_one_sample(batch, lambda t: -math.expm1(-t))
-        reference = ks_one_sample(batch, unit_exp_cdf)
-        assert result.statistic == reference.statistic
+        calls = []
+
+        def scalar_cdf(t):
+            calls.append(t)
+            return -math.expm1(-t)
+
+        with pytest.raises(TypeError):
+            ks_one_sample(batch, scalar_cdf)
+        assert len(calls) == 1
+        assert calls[0].shape == (2000,)
+
+    @pytest.mark.parametrize("shape_of", [lambda t: t[:-1], lambda t: t[:, None], lambda t: 0.5])
+    def test_cdf_of_another_shape_rejected(self, shape_of):
+        batch = exponentials(SeededStream(11, 4), 2000)
+        with pytest.raises(ValueError, match=r"cdf returned shape .* sample of shape \(2000,\)"):
+            ks_one_sample(batch, lambda t: shape_of(unit_exp_cdf(t)))
 
 
 class TestKsTwoSample:
@@ -198,6 +213,31 @@ class TestKsTwoSample:
         d = ks_two_sample(as_batch(xa), as_batch(xb)).statistic
         assert d == searchsorted_statistic(np.array(xa), np.array(xb))
 
+    @pytest.mark.parametrize("tile", [1, 2, 3, 7])
+    @settings(max_examples=100, deadline=None)
+    @given(xa=any_side, xb=any_side)
+    def test_statistic_equals_binary_search_kernel_over_small_tiles(self, tile, xa, xb):
+        """Many slices, runs of ties across slice edges, unequal sizes: D bit for bit."""
+        assume(not (is_degenerate(xa) or is_degenerate(xb)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convergence, "_TILE", tile)
+            d = ks_two_sample(as_batch(xa), as_batch(xb)).statistic
+        assert d == searchsorted_statistic(np.array(xa), np.array(xb))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, _TILE + 1])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_statistic_at_pooled_sizes_around_the_tile(self, extra, tied):
+        """n_a + n_b in {T - 1, T, T + 1, 2T + 1} at the real tile, with and without ties."""
+        total = _TILE + extra
+        na = total // 3
+        rng = np.random.default_rng(total)
+        pooled = rng.standard_normal(total)
+        if tied:
+            pooled = np.round(pooled, 1)
+        xa, xb = pooled[:na], pooled[na:]
+        d = ks_two_sample(as_batch(xa), as_batch(xb)).statistic
+        assert d == searchsorted_statistic(xa, xb)
+
     def test_ties_across_samples_counted_at_run_end(self):
         """At a value both samples share, both cdfs count every point <= it."""
         result = ks_two_sample(as_batch([1.0, 2.0, 2.0, 3.0]), as_batch([2.0, 2.0, 2.0, 5.0]))
@@ -223,7 +263,7 @@ class TestKsTwoSample:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
     @pytest.mark.parametrize("seed, na, nb", [(1, 1000, 700), (2, 2000, 2000), (3, 37, 4000)])
     def test_statistic_equals_fresh_buffer_kernel(self, dtype, seed, na, nb):
-        """D reuses the spent buffers but stays the same float, bit for bit, for every dtype."""
+        """D by the tile walk is the fresh-buffer kernel's float, bit for bit, for every dtype."""
         xa, xb = tied_samples(dtype, seed, na, nb)
         def batch(x):
             return SampleBatch(x.copy(), 1, None, "direct_sort", SeededStream(0))

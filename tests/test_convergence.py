@@ -5,6 +5,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -54,7 +55,7 @@ def exponentials(stream, count):
 
 
 def searchsorted_statistic(xa, xb):
-    """The two-binary-search D the merge replaced, kept as the reference."""
+    """D by two binary searches at every pooled point, kept as the reference."""
     xa = np.sort(xa)
     xb = np.sort(xb)
     pooled = np.concatenate([xa, xb])
@@ -217,17 +218,21 @@ class TestKsTwoSample:
     @settings(max_examples=100, deadline=None)
     @given(xa=any_side, xb=any_side)
     def test_statistic_equals_binary_search_kernel_over_small_tiles(self, tile, xa, xb):
-        """Many slices, runs of ties across slice edges, unequal sizes: D bit for bit."""
+        """Many windows, runs of ties across window cuts, unequal sizes: D bit for bit."""
         assume(not (is_degenerate(xa) or is_degenerate(xb)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(convergence, "_TILE", tile)
             d = ks_two_sample(as_batch(xa), as_batch(xb)).statistic
         assert d == searchsorted_statistic(np.array(xa), np.array(xb))
 
-    @pytest.mark.parametrize("extra", [-1, 0, 1, _TILE + 1])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, _TILE + 1, 2 * _TILE - 1, 2 * _TILE, 2 * _TILE + 3])
     @pytest.mark.parametrize("tied", [False, True])
     def test_statistic_at_pooled_sizes_around_the_tile(self, extra, tied):
-        """n_a + n_b in {T - 1, T, T + 1, 2T + 1} at the real tile, with and without ties."""
+        """At the real window size W, with and without ties.
+
+        n_a + n_b in {W - 1, W, W + 1, 2W + 1}, and n_a = (n_a + n_b) // 3 in
+        {W - 1, W, W + 1}: no cut in a, a cut at its last point, or one before.
+        """
         total = _TILE + extra
         na = total // 3
         rng = np.random.default_rng(total)
@@ -237,6 +242,68 @@ class TestKsTwoSample:
         xa, xb = pooled[:na], pooled[na:]
         d = ks_two_sample(as_batch(xa), as_batch(xb)).statistic
         assert d == searchsorted_statistic(xa, xb)
+
+    def test_disjoint_samples_read_one(self):
+        """All of a below all of b: the windows holding D have a bound of exactly max |G|."""
+        a, b = np.arange(2 * _TILE), np.arange(2 * _TILE) + 100.0
+        assert ks_two_sample(as_batch(a), as_batch(b)).statistic == 1.0
+        assert ks_two_sample(as_batch(b), as_batch(a)).statistic == 1.0
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_tied_maximum_takes_the_largest_float(self, swap):
+        """|G| = 10 at six run ends whose floats differ: D is the largest, not the first.
+
+        At 0, 1, 7, 8, 9 and 10 the counts differ by one, so every exact gap is
+        1/10, but c_a/10 - c_b/10 rounds to 0.1 at the first and to
+        0.10000000000000009 only at 8 (c_a = 8, c_b = 7).
+        """
+        a = [0, 1, 3, 4, 5, 6, 7, 8, 9, 10]
+        b = [1, 2, 3, 4, 5, 6, 8, 9, 10, 11]
+        if swap:
+            a, b = b, a
+        d = ks_two_sample(as_batch(a), as_batch(b)).statistic
+        # the first run end, x = 0, reads 1/10 - 0/10; x = 8 reads more
+        assert d == 8 / 10 - 7 / 10 == 0.10000000000000009 > 1 / 10 - 0 / 10
+        assert d == searchsorted_statistic(np.array(a, float), np.array(b, float))
+
+    @pytest.mark.parametrize("seed", [cli.DEFAULT_SEED, 5])
+    def test_default_simulate_cells_search_a_few_points(self, monkeypatch, seed):
+        """Each binary search on a default simulate cell takes under a quarter of the points.
+
+        Evaluating every point would take all n_a + n_b keys in one call, so an
+        edit that keeps every window fails here.
+        """
+        searchsorted = np.searchsorted
+        keys = []
+
+        def counting(a, v, *args, **kwargs):
+            keys.append(np.size(v))
+            return searchsorted(a, v, *args, **kwargs)
+
+        shares = []
+
+        def recording(a, b, **kwargs):
+            keys.clear()
+            result = ks_two_sample(a, b, **kwargs)
+            assert keys, "ks_two_sample made no np.searchsorted call"
+            shares.append(max(keys) / (a.values.size + b.values.size))
+            return result
+
+        monkeypatch.setattr(np, "searchsorted", counting)
+        monkeypatch.setattr(convergence, "ks_two_sample", recording)
+        cli._simulate_results(cli.parse_args(["simulate", "--seed", str(seed)]))
+        assert len(shares) == 21
+        assert max(shares) < 0.25
+
+    @pytest.mark.parametrize("na, nb", [(2**32, 2**32), (2**31, 2**32), (1, 2**63)])
+    def test_sizes_past_int64_gaps_rejected_before_sorting(self, na, nb):
+        """n_a*n_b >= 2^63 would overflow G; the stand-ins hold no values to sort."""
+
+        def stand_in(size):
+            return SimpleNamespace(values=SimpleNamespace(size=size))
+
+        with pytest.raises(ValueError, match=f"sample sizes {na} and {nb} are too large"):
+            ks_two_sample(stand_in(na), stand_in(nb))
 
     def test_ties_across_samples_counted_at_run_end(self):
         """At a value both samples share, both cdfs count every point <= it."""
@@ -263,7 +330,7 @@ class TestKsTwoSample:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
     @pytest.mark.parametrize("seed, na, nb", [(1, 1000, 700), (2, 2000, 2000), (3, 37, 4000)])
     def test_statistic_equals_fresh_buffer_kernel(self, dtype, seed, na, nb):
-        """D by the tile walk is the fresh-buffer kernel's float, bit for bit, for every dtype."""
+        """D over the kept windows is the fresh-buffer kernel's float, bit for bit, for every dtype."""
         xa, xb = tied_samples(dtype, seed, na, nb)
         def batch(x):
             return SampleBatch(x.copy(), 1, None, "direct_sort", SeededStream(0))

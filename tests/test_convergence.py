@@ -225,13 +225,16 @@ class TestKsTwoSample:
             d = ks_two_sample(as_batch(xa), as_batch(xb)).statistic
         assert d == searchsorted_statistic(np.array(xa), np.array(xb))
 
-    @pytest.mark.parametrize("extra", [-1, 0, 1, _TILE + 1, 2 * _TILE - 1, 2 * _TILE, 2 * _TILE + 3])
+    @pytest.mark.parametrize(
+        "extra", [-1, 0, 1, _TILE + 1, 2 * _TILE - 1, 2 * _TILE, 2 * _TILE + 3, 16385]
+    )
     @pytest.mark.parametrize("tied", [False, True])
     def test_statistic_at_pooled_sizes_around_the_tile(self, extra, tied):
         """At the real window size W, with and without ties.
 
         n_a + n_b in {W - 1, W, W + 1, 2W + 1}, and n_a = (n_a + n_b) // 3 in
         {W - 1, W, W + 1}: no cut in a, a cut at its last point, or one before.
+        At n_a + n_b = W + 16385 the first sample spans over a hundred windows.
         """
         total = _TILE + extra
         na = total // 3

@@ -9,13 +9,17 @@ can reach the largest gap, and is the same float as over every point.
 The tables reproduce two classical limits numerically: H_n - ln n -> the
 Euler-Mascheroni constant, and sum 1/j^2 -> pi^2/6.  The variance table
 repeats the Basel rows: the largest of n unit exponentials is a sum of
-independent E_j/j, so its variance is that partial sum.  Partial sums are
-exact big-integer arithmetic up to EXACT_SUM_LIMIT terms and
-Shewchuk-compensated float summation (math.fsum) beyond, so every reported
-value is correctly rounded.  The float terms 1/j^p are built by numpy in
-blocks of _BLOCK (the same IEEE division and power as one Python float at a
-time, so the same floats) and all blocks stream into one fsum; blocking
-keeps the term lists at 2^15 floats rather than n.
+independent E_j/j, so its variance is that partial sum.  Every reported
+partial sum is correctly rounded.  Up to EXACT_SUM_LIMIT terms, one
+ascending pass per table adds floor(2^_FIXED_BITS / j^p) into one integer;
+at each n that integer and the integer plus n bracket the true sum, and
+where both ends round to one float that float is the sum.  Where they round
+apart, the exact big-integer fraction sum decides.  Beyond the limit,
+Shewchuk-compensated float summation (math.fsum) carries the load: the
+float terms 1/j^p are built by numpy in blocks of _BLOCK (the same IEEE
+division and power as one Python float at a time, so the same floats) and
+all blocks stream into one fsum; blocking keeps the term lists at 2^15
+floats rather than n.
 """
 
 from __future__ import annotations
@@ -59,6 +63,11 @@ PI_SQUARED_OVER_6 = 1.6449340668482264
 # of _BLOCK terms carries the (still correctly rounded) load
 EXACT_SUM_LIMIT = 10_000
 _BLOCK = 1 << 15
+# fraction bits of the fixed-point pass below the limit; its bracket, at most
+# EXACT_SUM_LIMIT units of 2^-96 (1.3e-25) wide, spans a rounding boundary of
+# a sum >= 1 (ulp >= 2.2e-16) with odds below 10^-9, so the exact fraction
+# sum that decides such a row almost never runs
+_FIXED_BITS = 96
 
 DEFAULT_ALPHA = 0.001
 # first-sample points per window of the two-sample KS statistic; of 8 to
@@ -218,6 +227,12 @@ def ks_two_sample(
 
 
 def _recip_power_sum_value(n: int, power: int) -> float:
+    """sum_{j<=n} 1/j^power, correctly rounded, for one n.
+
+    Up to EXACT_SUM_LIMIT terms it is one exact fraction sum, which the
+    tables reach only where the bracket of _recip_power_sums cannot decide
+    a row; beyond, it is one fsum of numpy-built blocks.
+    """
     if n <= EXACT_SUM_LIMIT:
         num, den = _sum_pairs([(1, j**power) for j in range(1, n + 1)])
         return num / den
@@ -226,6 +241,33 @@ def _recip_power_sum_value(n: int, power: int) -> float:
         for lo in range(1, n + 1, _BLOCK)
     )
     return math.fsum(itertools.chain.from_iterable(blocks))
+
+
+def _recip_power_sums(ns: list[int], power: int) -> list[float]:
+    """_recip_power_sum_value(n, power) for each n of the nondecreasing list ns.
+
+    The rows up to EXACT_SUM_LIMIT come from one ascending pass that adds
+    floor(2^_FIXED_BITS / j^power) into the integer acc.  Each floor loses
+    less than one unit, so the true sum scaled by 2^_FIXED_BITS lies in
+    [acc, acc + n).  Int true division rounds correctly and rounding is
+    monotone, so where acc and acc + n round to the same float, that float
+    is the rounded sum, the one the exact fraction sum gives.  Where they
+    round apart, that fraction sum is taken.  Rows above the limit are one
+    fsum each.
+    """
+    one = 1 << _FIXED_BITS
+    acc = done = 0
+    values = []
+    for n in ns:
+        if n <= EXACT_SUM_LIMIT:
+            acc += sum(one // j**power for j in range(done + 1, n + 1))
+            done = n
+            lo = acc / one
+            if lo == (acc + n) / one:
+                values.append(lo)
+                continue
+        values.append(_recip_power_sum_value(n, power))
+    return values
 
 
 def _sizes(n_list: Sequence[int]) -> list[int]:
@@ -248,24 +290,21 @@ def _check_n_list(n_list: Sequence[int]) -> list[int]:
     return ns
 
 
-def _rows(
-    n_list: Sequence[int], target: float, value_at: Callable[[int], float]
-) -> list[ConvergenceRow]:
-    rows = []
-    for n in _check_n_list(n_list):
-        value = value_at(n)
-        rows.append(ConvergenceRow(n, value, target, abs(value - target)))
-    return rows
+def _rows(ns: list[int], values: list[float], target: float) -> list[ConvergenceRow]:
+    return [ConvergenceRow(n, v, target, abs(v - target)) for n, v in zip(ns, values)]
 
 
 def euler_gamma_table(n_list: Sequence[int]) -> list[ConvergenceRow]:
     """Rows of H_n - ln n against the Euler-Mascheroni constant."""
-    return _rows(n_list, EULER_GAMMA, lambda n: _recip_power_sum_value(n, 1) - math.log(n))
+    ns = _check_n_list(n_list)
+    sums = _recip_power_sums(ns, 1)
+    return _rows(ns, [h - math.log(n) for n, h in zip(ns, sums)], EULER_GAMMA)
 
 
 def basel_table(n_list: Sequence[int]) -> list[ConvergenceRow]:
     """Rows of the partial sums of 1/j^2 against pi^2/6."""
-    return _rows(n_list, PI_SQUARED_OVER_6, lambda n: _recip_power_sum_value(n, 2))
+    ns = _check_n_list(n_list)
+    return _rows(ns, _recip_power_sums(ns, 2), PI_SQUARED_OVER_6)
 
 
 def variance_convergence_check(n_list: Sequence[int]) -> list[ConvergenceRow]:
@@ -364,8 +403,9 @@ def gumbel_approx_error(n_list: Sequence[int]) -> list[ConvergenceRow]:
         xs = np.linspace(-math.log(n) + 1e-6, 10.0, _GUMBEL_GRID_POINTS)
         return float(np.max(np.abs(_zn_cdf_array(n, xs) - np.exp(-np.exp(-xs)))))
 
+    ns = _check_n_list(n_list)
     # the sup is >= 0, so its distance from the target 0.0 is the sup itself
-    return _rows(n_list, 0.0, sup_distance)
+    return _rows(ns, [sup_distance(n) for n in ns], 0.0)
 
 
 # -- serialization -----------------------------------------------------------
@@ -379,9 +419,12 @@ def rows_to_csv(rows: Sequence[ConvergenceRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_JSON = json.JSONEncoder(sort_keys=True).encode
+
+
 def rows_to_json(rows: Sequence[ConvergenceRow]) -> str:
-    return json.dumps([vars(r) for r in rows], sort_keys=True)
+    return _JSON([vars(r) for r in rows])
 
 
 def results_to_json_lines(results: Sequence[TestResult]) -> str:
-    return "\n".join(json.dumps(vars(t), sort_keys=True) for t in results) + "\n"
+    return "\n".join(_JSON(vars(t)) for t in results) + "\n"

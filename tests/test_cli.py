@@ -378,3 +378,9 @@ class TestBehaviourAnchors:
         )
         assert code == 0
         assert self.anchor(out.encode()) == ("71d741d451e58a1d", 1_632)
+
+    def test_converge_json(self, capsys):
+        """The command the limit_tables benchmark workload times."""
+        code, out = run_cli(["converge", "--format", "json"], capsys)
+        assert code == 0
+        assert self.anchor(out.encode()) == ("ec96d3e36479df1e", 308_999)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import sys
 import tracemalloc
 import warnings
@@ -26,6 +27,7 @@ from exporder.convergence import (
     _TILE,
     _kolmogorov_pvalue,
     _recip_power_sum_value,
+    _recip_power_sums,
     basel_table,
     euler_gamma_table,
     gumbel_approx_error,
@@ -380,6 +382,70 @@ class TestReciprocalPowerSums:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+def exact_prefix_sums(ns, power):
+    """sum_{j<=n} 1/j^power for each n of the nondecreasing ns, rounded once from
+    one running fraction over the denominator lcm(1..n)^power."""
+    values, num, lcm, j = [], 0, 1, 0
+    for n in ns:
+        for j in range(j + 1, n + 1):
+            grown = lcm * j // math.gcd(lcm, j)
+            num = num * (grown // lcm) ** power + (grown // j) ** power
+            lcm = grown
+        values.append(num / lcm**power)
+    return values
+
+
+def counting_sum_pairs(monkeypatch):
+    """Wrap convergence's exact fraction merge; the list returned counts its calls."""
+    calls = []
+    merge = convergence._sum_pairs
+
+    def counted(items):
+        calls.append(len(items))
+        return merge(items)
+
+    monkeypatch.setattr(convergence, "_sum_pairs", counted)
+    return calls
+
+
+class TestFixedPointPass:
+    """The rows up to EXACT_SUM_LIMIT: one bracketing integer pass per table."""
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_equals_exact_sum_at_every_small_n(self, power):
+        ns = list(range(1, 601))
+        expected = [_recip_power_sum_value(n, power) for n in ns]
+        assert _recip_power_sums(ns, power) == expected
+        assert exact_prefix_sums(ns, power) == expected
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_equals_exact_sum_at_random_n(self, power):
+        rng = random.Random(28)
+        ns = sorted(rng.randint(1, EXACT_SUM_LIMIT) for _ in range(500))
+        assert _recip_power_sums(ns, power) == exact_prefix_sums(ns, power)
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_repeats_and_lists_across_the_limit(self, power):
+        ns = [1, 1, 10, EXACT_SUM_LIMIT, EXACT_SUM_LIMIT + 1, 10**5]
+        assert _recip_power_sums(ns, power) == [_recip_power_sum_value(n, power) for n in ns]
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_narrow_width_falls_back_to_the_exact_sum(self, monkeypatch, power):
+        """At 60 bits many brackets straddle a rounding boundary; those rows take the fraction sum."""
+        ns = list(range(1, 400))
+        expected = [_recip_power_sum_value(n, power) for n in ns]
+        monkeypatch.setattr(convergence, "_FIXED_BITS", 60)
+        calls = counting_sum_pairs(monkeypatch)
+        assert _recip_power_sums(ns, power) == expected
+        assert 0 < len(calls) < len(ns)
+
+    def test_default_tables_never_merge_fractions(self, monkeypatch):
+        calls = counting_sum_pairs(monkeypatch)
+        euler_gamma_table(cli.DEFAULT_N_LIST)
+        basel_table(cli.DEFAULT_N_LIST)
+        assert calls == []
 
 
 class TestEulerGammaTable:

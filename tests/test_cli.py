@@ -1,7 +1,9 @@
 """Command-line interface: parsing, output contracts, exit codes."""
 
+import errno
 import hashlib
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -235,6 +237,42 @@ class TestOutputPath:
         with pytest.raises(RuntimeError):
             cli.main(["race", "--output", str(target)])
         assert target.read_bytes() == b"old bytes"
+
+
+    RACE = ["race", "--replicates", "10", "--format", "json"]
+
+    def test_rewrite_cuts_a_longer_old_file(self, tmp_path, capsys):
+        code, out = run_cli(self.RACE, capsys)
+        target = tmp_path / "old.json"
+        target.write_bytes(b"x" * (3 * len(out)))
+        assert run_cli(self.RACE + ["--output", str(target)], capsys) == (code, "")
+        assert target.read_text() == out
+
+    def test_output_to_a_device(self, capsys):
+        code, _ = run_cli(self.RACE, capsys)
+        assert run_cli(self.RACE + ["--output", os.devnull], capsys) == (code, "")
+
+    def test_failed_write_leaves_only_what_was_written(self, tmp_path, capsys, monkeypatch):
+        _, out = run_cli(self.RACE, capsys)
+        target = tmp_path / "old.json"
+        target.write_bytes(b"x" * (3 * len(out)))
+
+        class FullDisk:  # os, but the disk fills after five bytes
+            writes = 0
+
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def write(self, fd, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return os.write(fd, data[:5])
+
+        monkeypatch.setattr(cli, "os", FullDisk())
+        assert cli.main(self.RACE + ["--output", str(target)]) == 2
+        assert capsys.readouterr().err == f"exporder: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
+        assert target.read_text() == out[:5]
 
 
 class TestSimulateCommand:

@@ -10,21 +10,22 @@ The tables reproduce two classical limits numerically: H_n - ln n -> the
 Euler-Mascheroni constant, and sum 1/j^2 -> pi^2/6.  The variance table
 repeats the Basel rows: the largest of n unit exponentials is a sum of
 independent E_j/j, so its variance is that partial sum.  Every reported
-partial sum is correctly rounded.  Up to EXACT_SUM_LIMIT terms, one
-ascending pass per table adds floor(2^_FIXED_BITS / j^p) into one integer;
-at each n that integer and the integer plus n bracket the true sum, and
-where both ends round to one float that float is the sum.  Where they round
-apart, the exact big-integer fraction sum decides.  Beyond the limit,
-Shewchuk-compensated float summation (math.fsum) carries the load: the
-float terms 1/j^p are built by numpy in blocks of _BLOCK (the same IEEE
-division and power as one Python float at a time, so the same floats) and
-all blocks stream into one fsum; blocking keeps the term lists at 2^15
-floats rather than n.
+partial sum is correctly rounded, and each table takes two ascending
+integer passes over its n list.  Up to EXACT_SUM_LIMIT terms, the first
+adds floor(2^_FIXED_BITS / j^p) into one integer; at each n that integer
+and the integer plus n bracket the true sum, and where both ends round to
+one float that float is the sum.  Where they round apart, the exact
+big-integer fraction sum decides.  Beyond the limit a row is the sum of
+the float terms 1/j^p (built by numpy in blocks of _BLOCK, the same IEEE
+division and power as one Python float at a time), rounded once: the
+second pass adds each term's exact value, its integer mantissa shifted to
+one fixed binary scale, into one integer and divides once.  That is the
+value math.fsum (Shewchuk's exact sum) gives for the same terms, and the
+one long integer is Neal's superaccumulator (arXiv:1505.05571).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -58,9 +59,10 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015329
 PI_SQUARED_OVER_6 = 1.6449340668482264
 
-# largest n for which reciprocal-power partial sums are done in exact
-# big-integer arithmetic; beyond this one math.fsum over numpy-built blocks
-# of _BLOCK terms carries the (still correctly rounded) load
+# largest n for which reciprocal-power partial sums are of the exact terms
+# 1/j^p; beyond this they are of the float terms 1.0 / j**p, summed exactly
+# from their mantissas in blocks of _BLOCK (at most 2^15, which keeps the
+# int64 sums of the mantissa halves in _mantissa_block_sum below 2^42)
 EXACT_SUM_LIMIT = 10_000
 _BLOCK = 1 << 15
 # fraction bits of the fixed-point pass below the limit; its bracket, at most
@@ -227,46 +229,76 @@ def ks_two_sample(
 
 
 def _recip_power_sum_value(n: int, power: int) -> float:
-    """sum_{j<=n} 1/j^power, correctly rounded, for one n.
+    """sum_{j<=n} 1/j^power, correctly rounded, from one exact fraction sum.
 
-    Up to EXACT_SUM_LIMIT terms it is one exact fraction sum, which the
-    tables reach only where the bracket of _recip_power_sums cannot decide
-    a row; beyond, it is one fsum of numpy-built blocks.
+    _recip_power_sums takes it only for a row up to EXACT_SUM_LIMIT whose
+    fixed-point bracket cannot decide the float; it is also that pass's
+    reference.
     """
-    if n <= EXACT_SUM_LIMIT:
-        num, den = _sum_pairs([(1, j**power) for j in range(1, n + 1)])
-        return num / den
-    blocks = (
-        (1.0 / np.arange(lo, min(lo + _BLOCK, n + 1), dtype=np.float64) ** power).tolist()
-        for lo in range(1, n + 1, _BLOCK)
-    )
-    return math.fsum(itertools.chain.from_iterable(blocks))
+    num, den = _sum_pairs([(1, j**power) for j in range(1, n + 1)])
+    return num / den
+
+
+def _mantissa_block_sum(lo: int, hi: int, power: int, scale: int) -> int:
+    """2^scale times the exact sum of the float terms 1.0 / j**power, lo <= j < hi.
+
+    hi - lo is at most _BLOCK.  Each term is m * 2^(e - 53), with m its
+    integer mantissa below 2^53 (ldexp of the frexp fraction; exact for
+    subnormals too).  The terms fall with j, so equal exponents e form a few
+    contiguous runs.  The high 27 and low 26 bits of m are summed per run
+    in int64, at most 2^15 terms below 2^27 each, so below 2^42 with no
+    overflow; each run's sum is then shifted by e - 53 + scale, which the
+    caller keeps >= 0.
+    """
+    mant, exp = np.frexp(1.0 / np.arange(lo, hi, dtype=np.float64) ** power)
+    mant = np.ldexp(mant, 53).astype(np.int64)
+    starts = np.flatnonzero(exp[1:] != exp[:-1]) + 1
+    starts = np.concatenate(([0], starts))
+    high = np.add.reduceat(mant >> 26, starts).tolist()
+    low = np.add.reduceat(mant & ((1 << 26) - 1), starts).tolist()
+    total = 0
+    for h, l, e in zip(high, low, exp[starts].tolist()):
+        total += ((h << 26) + l) << (e - 53 + scale)
+    return total
 
 
 def _recip_power_sums(ns: list[int], power: int) -> list[float]:
-    """_recip_power_sum_value(n, power) for each n of the nondecreasing list ns.
+    """sum_{j<=n} 1/j^power, correctly rounded, for each n of the nondecreasing list ns.
 
     The rows up to EXACT_SUM_LIMIT come from one ascending pass that adds
     floor(2^_FIXED_BITS / j^power) into the integer acc.  Each floor loses
     less than one unit, so the true sum scaled by 2^_FIXED_BITS lies in
     [acc, acc + n).  Int true division rounds correctly and rounding is
     monotone, so where acc and acc + n round to the same float, that float
-    is the rounded sum, the one the exact fraction sum gives.  Where they
-    round apart, that fraction sum is taken.  Rows above the limit are one
-    fsum each.
+    is the rounded sum, the one the exact fraction sum of
+    _recip_power_sum_value gives.  Where they round apart, that fraction
+    sum is taken.
+
+    The rows above the limit are the float terms 1.0 / j**power (numpy's,
+    the same floats as one Python float at a time) summed exactly and
+    rounded once, which is what math.fsum of them returns.  A second
+    ascending pass adds the terms' exact values into the integer total at
+    the fixed scale 2^scale, _BLOCK terms at a time, and a row is one int
+    true division, total / 2^scale, rounded half to even as fsum rounds.
+    Every term is at least 2^(-power * bit_length(n)) for the largest n, so
+    its frexp exponent e is above -power * bit_length(n), and each shift
+    e - 53 + scale in _mantissa_block_sum is >= 3, subnormal terms included.
     """
     one = 1 << _FIXED_BITS
-    acc = done = 0
+    scale = 55 + power * max(ns, default=1).bit_length()
+    acc = done = total = summed = 0
     values = []
     for n in ns:
         if n <= EXACT_SUM_LIMIT:
             acc += sum(one // j**power for j in range(done + 1, n + 1))
             done = n
             lo = acc / one
-            if lo == (acc + n) / one:
-                values.append(lo)
-                continue
-        values.append(_recip_power_sum_value(n, power))
+            values.append(lo if lo == (acc + n) / one else _recip_power_sum_value(n, power))
+            continue
+        for start in range(summed + 1, n + 1, _BLOCK):
+            total += _mantissa_block_sum(start, min(start + _BLOCK, n + 1), power, scale)
+        summed = n
+        values.append(total / (1 << scale))
     return values
 
 

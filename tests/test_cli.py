@@ -323,6 +323,25 @@ class TestConvergeCommand:
         assert code == 1
         assert "PROBLEM variance: error outside (1/(n+1), 1/n) at n=10\n" in out
 
+    def test_default_run_builds_the_basel_rows_once(self, capsys, monkeypatch):
+        """The variance table reuses the basel table's rows instead of building them again."""
+        import exporder.convergence as convergence
+
+        calls = {"basel_table": 0, "variance_convergence_check": 0}
+        for name in calls:
+            table = getattr(convergence, name)
+
+            def counted(n_list, name=name, table=table):
+                calls[name] += 1
+                return table(n_list)
+
+            monkeypatch.setattr(convergence, name, counted)
+        code, out = run_cli(["converge", "--format", "json"], capsys)
+        tables = {t["table"]: t["rows"] for t in map(json.loads, out.splitlines()) if "table" in t}
+        assert code == 0
+        assert calls == {"basel_table": 1, "variance_convergence_check": 0}
+        assert tables["variance"] == tables["basel"]
+
     def test_tail_with_csv_is_usage_error(self, capsys):
         code, _ = run_cli(["converge", "--targets", "tail", "--format", "csv"], capsys)
         assert code == 2

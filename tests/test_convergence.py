@@ -354,7 +354,7 @@ class TestKsTwoSample:
 
 
 class TestReciprocalPowerSums:
-    """The float path above EXACT_SUM_LIMIT: numpy-built blocks into one fsum."""
+    """The rows above EXACT_SUM_LIMIT: the float terms summed exactly, rounded once."""
 
     @staticmethod
     def one_term_at_a_time(n, power):
@@ -363,25 +363,64 @@ class TestReciprocalPowerSums:
     @pytest.mark.parametrize("power", [1, 2])
     @pytest.mark.parametrize("n", [EXACT_SUM_LIMIT + 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
     def test_bit_identical_to_scalar_terms(self, n, power):
-        assert _recip_power_sum_value(n, power) == self.one_term_at_a_time(n, power)
+        assert _recip_power_sums([n], power) == [self.one_term_at_a_time(n, power)]
 
     @pytest.mark.parametrize("n", [10_001, 10**5, 10**6])
     def test_correctly_rounded_against_mpmath(self, n):
         with mpmath.workdps(50):
             harmonic = float(mpmath.harmonic(n))
             basel = float(mpmath.zeta(2) - mpmath.zeta(2, n + 1))
-        assert _recip_power_sum_value(n, 1) == harmonic
-        assert _recip_power_sum_value(n, 2) == basel
+        assert _recip_power_sums([n], 1) == [harmonic]
+        assert _recip_power_sums([n], 2) == [basel]
 
     def test_memory_bounded_by_block(self):
         """A million terms never sit in memory at once (an unblocked list is ~38 MiB)."""
         tracemalloc.start()
         try:
-            _recip_power_sum_value(10**6, 2)
+            _recip_power_sums([10**6], 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+def numpy_term_fsums(ns, power):
+    """math.fsum of the numpy-built float terms 1.0 / j**power, j <= n, for each n of ns."""
+    terms = (1.0 / np.arange(1, max(ns) + 1, dtype=np.float64) ** power).tolist()
+    return [math.fsum(terms[:n]) for n in ns]
+
+
+class TestMantissaPass:
+    """Every row above EXACT_SUM_LIMIT is math.fsum of the same float terms, bit for bit."""
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [29, 30])
+    def test_equals_fsum_at_random_lists(self, power, seed):
+        rng = random.Random(seed)
+        ns = sorted(rng.randint(EXACT_SUM_LIMIT + 1, 3 * 10**5) for _ in range(6))
+        assert _recip_power_sums(ns, power) == numpy_term_fsums(ns, power)
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_equals_fsum_around_block_edges(self, power):
+        ns = [m * _BLOCK + d for m in (1, 2, 3) for d in (-1, 0, 1)]
+        assert _recip_power_sums(ns, power) == numpy_term_fsums(ns, power)
+        assert [_recip_power_sums([n], power)[0] for n in ns] == numpy_term_fsums(ns, power)
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_equals_fsum_across_the_limit_with_repeats(self, power):
+        above = [EXACT_SUM_LIMIT + 1, EXACT_SUM_LIMIT + 1, _BLOCK + 1, 10**5, 10**5]
+        ns = [1, 10, EXACT_SUM_LIMIT, EXACT_SUM_LIMIT, *above]
+        values = _recip_power_sums(ns, power)
+        assert values[4:] == numpy_term_fsums(above, power)
+        assert values[:4] == [_recip_power_sum_value(n, power) for n in ns[:4]]
+
+    def test_default_tables_never_call_fsum(self, monkeypatch):
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
+        euler_gamma_table(cli.DEFAULT_N_LIST)
+        basel_table(cli.DEFAULT_N_LIST)
+        assert calls == []
 
 
 def exact_prefix_sums(ns, power):
@@ -429,7 +468,11 @@ class TestFixedPointPass:
     @pytest.mark.parametrize("power", [1, 2])
     def test_repeats_and_lists_across_the_limit(self, power):
         ns = [1, 1, 10, EXACT_SUM_LIMIT, EXACT_SUM_LIMIT + 1, 10**5]
-        assert _recip_power_sums(ns, power) == [_recip_power_sum_value(n, power) for n in ns]
+        expected = [
+            _recip_power_sum_value(n, power) if n <= EXACT_SUM_LIMIT else _recip_power_sums([n], power)[0]
+            for n in ns
+        ]
+        assert _recip_power_sums(ns, power) == expected
 
     @pytest.mark.parametrize("power", [1, 2, 3])
     def test_narrow_width_falls_back_to_the_exact_sum(self, monkeypatch, power):

@@ -327,7 +327,7 @@ def _run_converge(config: RunConfig) -> tuple[int, str]:
 
     if want_tail:
         results = convergence.tail_bound_audit(TAIL_N_GRID, TAIL_X_GRID)
-        tail_failures = [t for t in results if not t.passed]
+        tail_failures = [t for t in results if t.verdict != "pass"]
         problems.extend(f"tail: {t.test_id} failed" for t in tail_failures)
         if config.output_format == "json":
             chunks.append(convergence.results_to_json_lines(results))
@@ -439,14 +439,21 @@ def _write_output(path: str, text: str) -> None:
     truncated to zero is flushed when it is closed.  Rewriting one 309 KB
     ``converge`` output while the disk was busy took 3-15 ms per write that
     way and 0.2 ms in place.  A failed write leaves only what was written.
+
+    The text is encoded 2^16 characters at a time: encoded whole, that
+    output was a fresh memory mapping faulted in on every pass (0.23 ms per
+    write in process, 0.14 ms in 64 KiB ASCII slices from the heap).
     """
-    data = memoryview(text.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         done = 0
         try:
-            while done < len(data):
-                done += os.write(fd, data[done:])
+            for start in range(0, len(text), 1 << 16):
+                data = memoryview(text[start : start + (1 << 16)].encode("utf-8"))
+                while data:
+                    written = os.write(fd, data)
+                    done += written
+                    data = data[written:]
         finally:
             if stat.S_ISREG(os.fstat(fd).st_mode):
                 os.ftruncate(fd, done)

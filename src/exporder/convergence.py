@@ -17,11 +17,14 @@ and the integer plus n bracket the true sum, and where both ends round to
 one float that float is the sum.  Where they round apart, the exact
 big-integer fraction sum decides.  Beyond the limit a row is the sum of
 the float terms 1/j^p (built by numpy in blocks of _BLOCK, the same IEEE
-division and power as one Python float at a time), rounded once: the
-second pass adds each term's exact value, its integer mantissa shifted to
-one fixed binary scale, into one integer and divides once.  That is the
-value math.fsum (Shewchuk's exact sum) gives for the same terms, and the
-one long integer is Neal's superaccumulator (arXiv:1505.05571).
+division and power as one Python float at a time), rounded once.  The
+second pass reads each block's terms as their IEEE bits: in a run of
+terms sharing one exponent field, at most _SEGMENT of them, one wrapping
+uint64 sum of the bits gives the exact sum of their significands.  Each
+such sum, shifted to one fixed binary scale, goes into one integer, and a
+row divides it once.  That is the value math.fsum (Shewchuk's exact sum)
+gives for the same terms, and the one long integer is Neal's
+superaccumulator (arXiv:1505.05571).
 """
 
 from __future__ import annotations
@@ -61,10 +64,15 @@ PI_SQUARED_OVER_6 = 1.6449340668482264
 
 # largest n for which reciprocal-power partial sums are of the exact terms
 # 1/j^p; beyond this they are of the float terms 1.0 / j**p, summed exactly
-# from their mantissas in blocks of _BLOCK (at most 2^15, which keeps the
-# int64 sums of the mantissa halves in _mantissa_block_sum below 2^42)
+# from their bits in blocks of _BLOCK.  A block is one 256 KiB buffer, which
+# malloc serves from the heap once the first one is freed, so later blocks
+# take no new page faults; of 2^12 to 2^16 terms, 2^15 was the fastest
 EXACT_SUM_LIMIT = 10_000
 _BLOCK = 1 << 15
+# most terms of one exponent field that _mantissa_block_sum adds in one
+# wrapping uint64 sum: 2^11 significands below 2^53 sum below 2^64
+_SEGMENT = 1 << 11
+_WORD = (1 << 64) - 1
 # fraction bits of the fixed-point pass below the limit; its bracket, at most
 # EXACT_SUM_LIMIT units of 2^-96 (1.3e-25) wide, spans a rounding boundary of
 # a sum >= 1 (ulp >= 2.2e-16) with odds below 10^-9, so the exact fraction
@@ -242,23 +250,34 @@ def _recip_power_sum_value(n: int, power: int) -> float:
 def _mantissa_block_sum(lo: int, hi: int, power: int, scale: int) -> int:
     """2^scale times the exact sum of the float terms 1.0 / j**power, lo <= j < hi.
 
-    hi - lo is at most _BLOCK.  Each term is m * 2^(e - 53), with m its
-    integer mantissa below 2^53 (ldexp of the frexp fraction; exact for
-    subnormals too).  The terms fall with j, so equal exponents e form a few
-    contiguous runs.  The high 27 and low 26 bits of m are summed per run
-    in int64, at most 2^15 terms below 2^27 each, so below 2^42 with no
-    overflow; each run's sum is then shifted by e - 53 + scale, which the
-    caller keeps >= 0.
+    The terms are built in one buffer from j = hi - 1 down, so they ascend,
+    and read as their uint64 bits (f << 52) + m, with f the exponent field
+    and m the 52 fraction bits.  With g = max(f - 1, 0), a term is its
+    significand (2^52 + m, or m when f = 0: a subnormal or 0) times
+    2^(g - 1074), and its bits are that significand plus g << 52.  The bits
+    ascend with the terms, so one searchsorted for each f << 52 finds where
+    each exponent field starts; the block is cut there and every _SEGMENT
+    terms.  One np.add.reduceat sums each segment's bits mod 2^64, and less
+    c * (g << 52) for its c terms that is the sum of their significands,
+    exact because c <= 2^11 significands below 2^53 sum below 2^64.  Each
+    segment's sum is shifted by g - 1074 + scale, which the caller keeps
+    >= 0.
     """
-    mant, exp = np.frexp(1.0 / np.arange(lo, hi, dtype=np.float64) ** power)
-    mant = np.ldexp(mant, 53).astype(np.int64)
-    starts = np.flatnonzero(exp[1:] != exp[:-1]) + 1
-    starts = np.concatenate(([0], starts))
-    high = np.add.reduceat(mant >> 26, starts).tolist()
-    low = np.add.reduceat(mant & ((1 << 26) - 1), starts).tolist()
+    count = hi - lo
+    terms = np.arange(hi - 1, lo - 1, -1, dtype=np.float64)
+    terms **= power
+    bits = np.divide(1.0, terms, out=terms).view(np.uint64)
+    first, last = int(bits[0]) >> 52, int(bits[-1]) >> 52
+    # uint64 keys: Python ints would be compared with the bits as float64
+    edges = np.arange(first + 1, last + 1, dtype=np.uint64) << 52
+    runs = np.searchsorted(bits, edges).tolist()
+    starts = sorted(set(runs).union(range(0, count, _SEGMENT)))
+    sums = np.add.reduceat(bits, starts).tolist()
+    fields = (bits[starts] >> 52).tolist()
     total = 0
-    for h, l, e in zip(high, low, exp[starts].tolist()):
-        total += ((h << 26) + l) << (e - 53 + scale)
+    for start, end, s, f in zip(starts, starts[1:] + [count], sums, fields):
+        g = max(f - 1, 0)
+        total += ((s - (end - start) * (g << 52)) & _WORD) << (g - 1074 + scale)
     return total
 
 
@@ -280,9 +299,11 @@ def _recip_power_sums(ns: list[int], power: int) -> list[float]:
     ascending pass adds the terms' exact values into the integer total at
     the fixed scale 2^scale, _BLOCK terms at a time, and a row is one int
     true division, total / 2^scale, rounded half to even as fsum rounds.
-    Every term is at least 2^(-power * bit_length(n)) for the largest n, so
-    its frexp exponent e is above -power * bit_length(n), and each shift
-    e - 53 + scale in _mantissa_block_sum is >= 3, subnormal terms included.
+    A nonzero term is below 2^(g - 1074 + 53) and at least
+    2^(-power * bit_length(n)) for the largest n, so each shift
+    g - 1074 + scale in _mantissa_block_sum is >= 3, subnormal terms
+    included.  A term is 0 only where j**power overflowed, and then
+    power * bit_length(n) >= 1024, so its shift is >= 5.
     """
     one = 1 << _FIXED_BITS
     scale = 55 + power * max(ns, default=1).bit_length()
@@ -401,13 +422,13 @@ def tail_bound_audit(
     sup_over_n = stacked.max(axis=0)
 
     results = []
-    for x, stat in zip(xs, sup_over_n):
+    for x, stat in zip(xs.tolist(), sup_over_n.tolist()):
         bound = 2.0 * math.exp(-x)
         envelope = math.exp(-math.exp(x)) + math.exp(-x)
         results.append(
             TestResult(
                 f"tail_bound[x={x:.6g}]",
-                float(stat),
+                stat,
                 bound,
                 len(ns),
                 "pass" if stat < bound else "fail",
@@ -416,7 +437,7 @@ def tail_bound_audit(
         results.append(
             TestResult(
                 f"tail_envelope[x={x:.6g}]",
-                float(stat),
+                stat,
                 envelope,
                 len(ns),
                 "pass" if stat <= envelope * (1.0 + 1e-12) + 1e-15 else "fail",
@@ -452,6 +473,18 @@ def rows_to_csv(rows: Sequence[ConvergenceRow]) -> str:
 
 
 _JSON = json.JSONEncoder(sort_keys=True).encode
+# one TestResult as JSONEncoder(sort_keys=True) writes it, keys in sorted order
+_RESULT_LINE = (
+    '{{"n_effective": {}, "statistic": {}, "test_id": {}, '
+    '"threshold_or_pvalue": {}, "verdict": {}}}\n'
+).format
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    """x as JSONEncoder writes a float: its repr, or NaN, Infinity, -Infinity."""
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
 
 
 def rows_to_json(rows: Sequence[ConvergenceRow]) -> str:
@@ -459,4 +492,15 @@ def rows_to_json(rows: Sequence[ConvergenceRow]) -> str:
 
 
 def results_to_json_lines(results: Sequence[TestResult]) -> str:
-    return "\n".join(_JSON(vars(t)) for t in results) + "\n"
+    """One JSON object per result and line, byte for byte what JSONEncoder writes."""
+    string = json.encoder.encode_basestring_ascii
+    return "".join([
+        _RESULT_LINE(
+            t.n_effective,
+            _json_float(t.statistic),
+            string(t.test_id),
+            _json_float(t.threshold_or_pvalue),
+            string(t.verdict),
+        )
+        for t in results
+    ])

@@ -274,6 +274,22 @@ class TestOutputPath:
         assert capsys.readouterr().err == f"exporder: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
         assert target.read_text() == out[:5]
 
+    def test_long_text_written_whole_through_short_writes(self, tmp_path, monkeypatch):
+        text = "".join(f"{i} \u00e9\u2264\U0001d53c\n" for i in range(40_000))  # several 2^16-character slices
+        target = tmp_path / "long.txt"
+        target.write_bytes(b"x" * (2 * len(text.encode())))
+
+        class ShortWrites:  # os, but each write takes at most 1,000 bytes
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def write(self, fd, data):
+                return os.write(fd, data[:1000])
+
+        monkeypatch.setattr(cli, "os", ShortWrites())
+        cli._write_output(str(target), text)
+        assert target.read_bytes() == text.encode()
+
 
 class TestSimulateCommand:
     def test_small_run(self, capsys):

@@ -423,6 +423,80 @@ class TestMantissaPass:
         assert calls == []
 
 
+def block_terms(lo, hi, power):
+    """The float terms 1.0 / j**power, lo <= j < hi, as Python floats (j**power may overflow to inf)."""
+    with np.errstate(over="ignore"):
+        return (1.0 / np.arange(lo, hi, dtype=np.float64) ** power).tolist()
+
+
+def block_sum(lo, hi, power):
+    """_mantissa_block_sum of the block at the scale _recip_power_sums would take for n = hi - 1."""
+    scale = 55 + power * (hi - 1).bit_length()
+    with np.errstate(over="ignore"):
+        return convergence._mantissa_block_sum(lo, hi, power, scale), scale
+
+
+def exact_scaled_sum(terms, scale):
+    """2^scale times the exact sum of the float terms, from each one's integer ratio."""
+    total = 0
+    for t in terms:
+        num, den = t.as_integer_ratio()
+        scaled, rest = divmod(num << scale, den)
+        assert rest == 0
+        total += scaled
+    return total
+
+
+def field_starts(terms):
+    """Offsets, in ascending term order, where a new exponent field starts."""
+    fields = (np.array(terms[::-1]).view(np.uint64) >> 52).tolist()
+    return [i for i in range(1, len(fields)) if fields[i] != fields[i - 1]]
+
+
+class TestModularBlockSum:
+    """One block of float terms, summed segment by segment in wrapping uint64, is exact."""
+
+    SEGMENT = 1 << 11
+
+    def check(self, lo, hi, power):
+        terms = block_terms(lo, hi, power)
+        total, scale = block_sum(lo, hi, power)
+        assert total == exact_scaled_sum(terms, scale)
+        assert total / (1 << scale) == math.fsum(terms)
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    @pytest.mark.parametrize("lo, hi", [(3_000, 7_196), (1, 5_000), (40_000, 80_001)])
+    def test_exponent_runs_starting_inside_a_segment(self, lo, hi, power):
+        starts = field_starts(block_terms(lo, hi, power))
+        assert any(i % self.SEGMENT for i in starts)
+        self.check(lo, hi, power)
+
+    @pytest.mark.parametrize("length", [SEGMENT - 1, SEGMENT, SEGMENT + 1, 2 * SEGMENT, 5 * SEGMENT + 1])
+    def test_segment_edges_within_one_exponent_field(self, length):
+        """1/j for 2^14 < j <= 2^15 share one exponent field, so only the segment cuts split them."""
+        lo = (1 << 14) + 1
+        assert field_starts(block_terms(lo, lo + length, 1)) == []
+        self.check(lo, lo + length, 1)
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_terms_a_few_units_below_a_power_of_two(self, power):
+        """1/j**power for j just above 2^46 lies under 2^9 units below 2^(-46 power), where
+        bits compared as float64 (whose units there are 2^10) would round onto the field's start."""
+        j = 1 << 46
+        terms = block_terms(j - 5, j + 3_000, power)
+        edge = int(np.float64(2.0 ** (-46 * power)).view(np.uint64))
+        assert any(0 < edge - b < 1 << 9 for b in np.array(terms).view(np.uint64).tolist())
+        self.check(j - 5, j + 3_000, power)
+
+    def test_subnormal_and_zero_terms(self):
+        """At power 100, 1/j**100 turns subnormal near j = 1,193 and 0 once j**100 overflows."""
+        lo, hi = 1_100, 1_300
+        terms = block_terms(lo, hi, 100)
+        assert any(0 < t < sys.float_info.min for t in terms)
+        assert terms[-1] == 0.0
+        self.check(lo, hi, 100)
+
+
 def exact_prefix_sums(ns, power):
     """sum_{j<=n} 1/j^power for each n of the nondecreasing ns, rounded once from
     one running fraction over the denominator lcm(1..n)^power."""
@@ -676,3 +750,27 @@ class TestSerialization:
         )
         lines = text.strip().split("\n")
         assert [json.loads(l)["verdict"] for l in lines] == ["pass", "fail"]
+
+    @staticmethod
+    def encoder_lines(results):
+        encode = json.JSONEncoder(sort_keys=True).encode
+        return "".join(encode(vars(t)) + "\n" for t in results)
+
+    def test_results_json_lines_equal_the_encoder_on_default_simulate(self):
+        results = cli._simulate_results(cli.parse_args(["simulate"]))
+        assert results_to_json_lines(results) == self.encoder_lines(results)
+
+    def test_results_json_lines_equal_the_encoder_on_default_tail_audit(self):
+        results = tail_bound_audit(cli.TAIL_N_GRID, cli.TAIL_X_GRID)
+        assert results_to_json_lines(results) == self.encoder_lines(results)
+
+    def test_results_json_lines_equal_the_encoder_on_special_values(self):
+        results = [
+            ResultRecord("nan", math.nan, math.inf, 1, "fail"),
+            ResultRecord("inf", -math.inf, -0.0, 2, "pass"),
+            ResultRecord("tiny", 5e-324, np.float64(0.1), 3, "pass"),
+            ResultRecord('quote " backslash \\ \u00e9\u2264\U0001d53c\n', 0.0, 1e300, 4, "p\u00e4ss"),
+        ]
+        text = results_to_json_lines(results)
+        assert text == self.encoder_lines(results)
+        assert "NaN" in text and "-Infinity" in text and "\\u00e9" in text

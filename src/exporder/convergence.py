@@ -53,6 +53,7 @@ __all__ = [
     "basel_table",
     "variance_convergence_check",
     "tail_bound_audit",
+    "tail_bound_summary",
     "gumbel_approx_error",
     "rows_to_csv",
     "rows_to_json",
@@ -446,6 +447,20 @@ def tail_bound_audit(
     return results
 
 
+def tail_bound_summary(
+    n_list: Sequence[int], x_grid: Sequence[float], json_lines: bool = False
+) -> tuple[int, list[str], str]:
+    """tail_bound_audit as a report needs it: (checks, failed test ids, lines).
+
+    lines is every result as results_to_json_lines writes it, or "" without
+    json_lines.  The results are read and freed in this layer, so a caller
+    that only reports them does no per-result work of its own.
+    """
+    results = tail_bound_audit(n_list, x_grid)
+    failed = [t.test_id for t in results if t.verdict != "pass"]
+    return len(results), failed, results_to_json_lines(results) if json_lines else ""
+
+
 def gumbel_approx_error(n_list: Sequence[int]) -> list[ConvergenceRow]:
     """Sup distance between the shifted-maximum cdf and the Gumbel cdf.
 
@@ -492,7 +507,10 @@ def rows_to_json(rows: Sequence[ConvergenceRow]) -> str:
 
 
 def results_to_json_lines(results: Sequence[TestResult]) -> str:
-    """One JSON object per result and line, byte for byte what JSONEncoder writes."""
+    """One JSON object per result and line, byte for byte what JSONEncoder writes.
+
+    No results give one empty line, "\n".
+    """
     string = json.encoder.encode_basestring_ascii
     return "".join([
         _RESULT_LINE(
@@ -503,4 +521,4 @@ def results_to_json_lines(results: Sequence[TestResult]) -> str:
             string(t.verdict),
         )
         for t in results
-    ])
+    ]) or "\n"

@@ -274,8 +274,8 @@ class TestOutputPath:
         assert capsys.readouterr().err == f"exporder: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
         assert target.read_text() == out[:5]
 
-    def test_long_text_written_whole_through_short_writes(self, tmp_path, monkeypatch):
-        text = "".join(f"{i} \u00e9\u2264\U0001d53c\n" for i in range(40_000))  # several 2^16-character slices
+    def test_pieces_written_whole_through_short_writes(self, tmp_path, monkeypatch):
+        text = "".join(f"{i} \u00e9\u2264\U0001d53c\n" for i in range(40_000))
         target = tmp_path / "long.txt"
         target.write_bytes(b"x" * (2 * len(text.encode())))
 
@@ -287,8 +287,15 @@ class TestOutputPath:
                 return os.write(fd, data[:1000])
 
         monkeypatch.setattr(cli, "os", ShortWrites())
-        cli._write_output(str(target), text)
+        cli._write_output(str(target), [text[:1000], text[1000:]])
         assert target.read_bytes() == text.encode()
+
+    def test_text_that_cannot_be_encoded_leaves_the_old_file(self, tmp_path):
+        target = tmp_path / "old.txt"
+        target.write_text("old output\n")
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_output(str(target), ["new output\n", "new \ud800 output\n"])
+        assert target.read_text() == "old output\n"
 
 
 class TestSimulateCommand:

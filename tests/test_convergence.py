@@ -37,6 +37,7 @@ from exporder.convergence import (
     rows_to_csv,
     rows_to_json,
     tail_bound_audit,
+    tail_bound_summary,
     variance_convergence_check,
 )
 from exporder.distributions import orderstat_var
@@ -750,6 +751,24 @@ class TestSerialization:
         )
         lines = text.strip().split("\n")
         assert [json.loads(l)["verdict"] for l in lines] == ["pass", "fail"]
+
+    def test_tail_bound_summary_reports_the_audit(self):
+        ns, xs = range(1, 21), [0.5, 1.0, 2.0]
+        results = tail_bound_audit(ns, xs)
+        failed = [t.test_id for t in results if not t.passed]
+        lines = results_to_json_lines(results)
+        assert tail_bound_summary(ns, xs) == (len(results), failed, "")
+        assert tail_bound_summary(ns, xs, json_lines=True) == (len(results), failed, lines)
+
+    def test_tail_bound_summary_names_the_failed_checks(self, monkeypatch):
+        results = [ResultRecord("a", 0.1, 0.5, 1, "pass"), ResultRecord("b", 0.9, 0.5, 1, "fail")]
+        monkeypatch.setattr(convergence, "tail_bound_audit", lambda ns, xs: results)
+        assert tail_bound_summary([1], [1.0], json_lines=True) == (
+            2, ["b"], results_to_json_lines(results)
+        )
+
+    def test_results_json_lines_of_no_results_is_one_empty_line(self):
+        assert results_to_json_lines([]) == "\n"
 
     @staticmethod
     def encoder_lines(results):

@@ -2,22 +2,25 @@
 
 Scalars are :class:`fractions.Fraction` (re-exported as ``Rational``): Python
 ints are unbounded, and Fraction keeps the canonical form we rely on
-(positive denominator, gcd(numerator, denominator) = 1, zero as 0/1).
+(positive denominator, gcd(numerator, denominator) = 1, zero as 0/1).  A
+point s to evaluate at is read as s = a/b: an int or a Fraction, or TypeError.
 
 A :class:`Polynomial` is an immutable tuple of int coefficients, index =
 degree, trailing zeros stripped; the zero polynomial is the empty tuple.
 A :class:`RationalFunction` is a pair of integer polynomials kept in a
 canonical form (numerator and denominator coprime, including integer
 content, denominator with positive leading coefficient), so structural
-equality coincides with mathematical equality.  Everything here is exact;
-there is no floating point in this module.
+equality coincides with mathematical equality.  The general constructor
+gets there by :func:`poly_gcd`; :meth:`RationalFunction.over_roots`, for a
+denominator prod (s + c), divides out each (s + c) the numerator shares.
+Everything here is exact; there is no floating point in this module.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
@@ -67,6 +70,39 @@ def sum_fractions(terms: Iterable[Scalar]) -> Fraction:
     """Exact sum of many fractions by divide-and-conquer merging, normalized once."""
     items = [(f.numerator, f.denominator) if isinstance(f, Fraction) else (f, 1) for f in terms]
     return Fraction(*_sum_pairs(items))
+
+
+def _ratio(s: Scalar) -> tuple[int, int]:
+    """(a, b) with s = a/b and b > 0; TypeError unless s is an int or a Fraction."""
+    if isinstance(s, bool) or not isinstance(s, (int, Fraction)):
+        raise TypeError(f"an int or a Fraction is required, got {type(s).__name__}")
+    return s.numerator, s.denominator
+
+
+def _homogeneous(coeffs: tuple, a: int, b: int) -> tuple[int, int]:
+    """(sum_i c_i a^i b^(d-i), b^(d+1)) for c_0..c_d: p(a/b) is their ratio times b."""
+    acc, power = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * power
+        power *= b
+    return acc, power
+
+
+def _expand(roots: Iterable[int]) -> list[int]:
+    """Coefficients, lowest degree first, of prod_c (s + c)."""
+    out = [1]
+    for c in roots:
+        out = [c * x + y for x, y in zip(out + [0], [0, *out])]
+    return out
+
+
+def _deflate(coeffs: Sequence[int], c: int) -> tuple[int, list[int]]:
+    """Synthetic division by (s + c): the remainder, which is p(-c), and the quotient."""
+    acc, top_down = 0, []
+    for x in reversed(coeffs):
+        acc = x - c * acc
+        top_down.append(acc)
+    return acc, top_down[-2::-1]
 
 
 class Polynomial:
@@ -175,12 +211,11 @@ class Polynomial:
             raise ValueError("not an exact polynomial division")
         return Polynomial(q)
 
-    def evaluate(self, x: Scalar) -> Scalar:
-        """Horner evaluation; exact for int or Fraction arguments."""
-        acc: Scalar = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def evaluate(self, x: Scalar) -> Fraction:
+        """Exact value at x = a/b, an int or a Fraction, by integer Horner."""
+        a, b = _ratio(x)
+        acc, power = _homogeneous(self.coeffs, a, b)
+        return Fraction(acc * b, power)
 
     # -- comparisons and display -------------------------------------------
 
@@ -282,6 +317,26 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod
+    def over_roots(cls, numer: Sequence[int], roots: Iterable[int]) -> "RationalFunction":
+        """numer / prod_c (s + c) over ints c, canonical without Euclid.
+
+        The gcd is the product of the (s + c) with numer(-c) = 0, each
+        divided out by synthetic division as it is found.  The denominator
+        left is monic: content 1, positive sign.  A zero numerator gives 0/1.
+        """
+        kept = []
+        for c in roots:
+            rem, quotient = _deflate(numer, c)
+            if rem:
+                kept.append(c)
+            else:
+                numer = quotient
+        self = object.__new__(cls)
+        object.__setattr__(self, "numer", Polynomial(numer))
+        object.__setattr__(self, "denom", Polynomial(_expand(kept)))
+        return self
+
+    @classmethod
     def from_scalar(cls, value: Scalar) -> "RationalFunction":
         value = Fraction(value)
         return cls(Polynomial((value.numerator,)), Polynomial((value.denominator,)))
@@ -325,11 +380,16 @@ class RationalFunction:
         )
 
     def evaluate(self, s: Scalar) -> Fraction:
-        """Exact value at s; raises ZeroDivisionError at a pole."""
-        dv = self.denom.evaluate(s)
-        if dv == 0:
+        """Exact value at s = a/b: integer Horner on both sides, one Fraction.
+
+        Raises ZeroDivisionError at a pole.
+        """
+        a, b = _ratio(s)
+        num, num_power = _homogeneous(self.numer.coeffs, a, b)
+        den, den_power = _homogeneous(self.denom.coeffs, a, b)
+        if den == 0:
             raise ZeroDivisionError(f"pole of rational function at s={s}")
-        return Fraction(self.numer.evaluate(s)) / Fraction(dv)
+        return Fraction(num * den_power, den * num_power)
 
     # -- comparisons and display -------------------------------------------
 

@@ -3,10 +3,14 @@
 Every checker compares two independently computed sides with exact
 arithmetic and returns an :class:`IdentityReport`; "exact_match" means the
 sides are identical in canonical form (structural equality for rational
-functions, plain equality for rationals).  :func:`run_suite` sweeps the
-whole family over a parameter grid and returns reports in a deterministic
-order, and reports serialize to JSON lines through one ``json`` encoder,
-whose hook writes rational functions and fractions exactly.
+functions, plain equality for rationals).  A point s is an int or a
+Fraction; each rational side is summed in integers and normalized once, and
+the structural sides are ``laplace``'s forms, reduced without Euclid.
+:func:`run_suite` sweeps the whole family over a parameter grid and returns
+reports in a deterministic order.  A report is one JSON line from one line
+template, the bytes the ``json`` encoder writes; that encoder, whose hook
+writes rational functions and fractions exactly, takes tuple sides and
+string params.
 
 The product form prod_j j/(s+j) enters the pointwise checkers two ways.
 ``laplace.product_value`` gives its value on one side:
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .exact import Polynomial, Rational, RationalFunction, binomial
+from .exact import Polynomial, Rational, RationalFunction, _ratio, binomial
 from .laplace import (
     OrderStatParams,
     double_sum_form,
@@ -144,7 +148,7 @@ def verify_max_order_value(n: int, s: Rational) -> IdentityReport:
     :func:`~exporder.laplace.product_value`.
     """
     p = OrderStatParams(n, n)
-    s = Fraction(s)
+    s = Fraction(*_ratio(s))
     lhs = generalized_double_sum(p, 1, s)
     rhs = product_value(p, s)
     return _report("double_sum_max_order", {"n": n, "k": n, "s": s}, lhs, rhs)
@@ -164,17 +168,21 @@ def verify_nested(n: int, k: int, s: Rational) -> IdentityReport:
 
     The left side is sum_{m=k}^{n} C(n,m) s/(s+n-m) prod_{i<=m} i/(s+n-m+i),
     each product the max-order transform of m variables at s+n-m, read from
-    :func:`~exporder.laplace.product_value`.  The right side evaluates the
-    structural ``product_form(p)`` at s.
+    :func:`~exporder.laplace.product_value` and summed in integers.  The
+    right side evaluates the structural ``product_form(p)`` at s.
     """
     p = OrderStatParams(n, k)
-    s = Fraction(s)
-    if s <= 0:
+    s = Fraction(*_ratio(s))
+    a, b = s.numerator, s.denominator
+    if a <= 0:
         raise ValueError(f"s must be > 0, got {s}")
-    lhs = sum(
-        binomial(n, m) * s / (s + n - m) * product_value(OrderStatParams(m, m), s + n - m)
-        for m in range(k, n + 1)
-    )
+    num, den = 0, 1
+    for m in range(k, n + 1):
+        value = product_value(OrderStatParams(m, m), s + (n - m))
+        term_num = binomial(n, m) * a * value.numerator
+        term_den = (a + (n - m) * b) * value.denominator
+        num, den = num * term_den + term_num * den, den * term_den
+    lhs = Fraction(num, den)
     rhs = product_form(p).evaluate(s)
     return _report("nested_product_sum", {"n": n, "k": k, "s": s}, lhs, rhs)
 
@@ -184,26 +192,30 @@ def verify_generalized(n: int, k: int, r: int, s: Rational) -> IdentityReport:
     p = OrderStatParams(n, k)
     lhs = generalized_double_sum(p, r, s)
     rhs = erlang_weighted_sum(p, r, s)
-    return _report(
-        "power_sum_vs_derivative_sum", {"n": n, "k": k, "r": r, "s": Fraction(s)}, lhs, rhs
-    )
+    params = {"n": n, "k": k, "r": r, "s": Fraction(*_ratio(s))}
+    return _report("power_sum_vs_derivative_sum", params, lhs, rhs)
 
 
 def verify_square_closed_form(n: int, k: int, s: Rational) -> IdentityReport:
-    """r=2 derivative sum vs its closed form product * (1 + sum s/(s+j))."""
+    """r=2 derivative sum vs its closed form product * (1 + sum s/(s+j)), bracket in integers."""
     p = OrderStatParams(n, k)
-    s = Fraction(s)
+    s = Fraction(*_ratio(s))
+    a, b = s.numerator, s.denominator
     lhs = erlang_weighted_sum(p, 2, s)
-    bracket = 1 + sum(s / (s + j) for j in p.rates)
-    rhs = product_form(p).evaluate(s) * bracket
+    num, den = 1, 1
+    for j in p.rates:
+        num, den = num * (a + j * b) + a * den, den * (a + j * b)
+    value = product_form(p).evaluate(s)
+    rhs = Fraction(value.numerator * num, value.denominator * den)
     return _report("square_power_closed_form", {"n": n, "k": k, "r": 2, "s": s}, lhs, rhs)
 
 
 def verify_square_min_order(n: int, s: Rational) -> IdentityReport:
     """r=2, k=1 double sum vs the closed form n(n+2s)/(s+n)^2."""
-    s = Fraction(s)
+    s = Fraction(*_ratio(s))
+    a, b = s.numerator, s.denominator
     lhs = generalized_double_sum(OrderStatParams(n, 1), 2, s)
-    rhs = Fraction(n) * (n + 2 * s) / (s + n) ** 2
+    rhs = Fraction(n * (n * b + 2 * a) * b, (a + n * b) ** 2)
     return _report("square_power_min_order", {"n": n, "k": 1, "r": 2, "s": s}, lhs, rhs)
 
 
@@ -308,7 +320,7 @@ def run_suite(
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    s_grid = tuple(sorted(Fraction(s) for s in s_grid))
+    s_grid = tuple(sorted(Fraction(*_ratio(s)) for s in s_grid))
     return [_run_case(*case) for case in _cases(max_n, max_r, s_grid)]
 
 
@@ -322,14 +334,44 @@ def _exact_value(value):
 
 
 _JSON = json.JSONEncoder(sort_keys=True, default=_exact_value).encode
+# one report as _JSON writes it, keys in sorted order
+_LINE = '{{"identity_id": {}, "lhs": {}, "params": {{{}}}, "rhs": {}, "verdict": {}}}'.format
+_STRING = json.encoder.encode_basestring_ascii
+
+
+def _coefficients(poly: Polynomial) -> str:
+    return ", ".join(map(str, poly.coeffs))
+
+
+_SIDE = {
+    Fraction: lambda f: f'"{f!s}"',
+    RationalFunction: lambda f: (
+        f'{{"denom": [{_coefficients(f.denom)}], "numer": [{_coefficients(f.numer)}]}}'
+    ),
+}
+_PARAM = {int: str, Fraction: _SIDE[Fraction]}
 
 
 def report_to_json(report: IdentityReport) -> str:
-    """One report as a JSON object (one line); a side outside ``Side`` raises TypeError."""
-    if not (isinstance(report.lhs, Side) and isinstance(report.rhs, Side)):
-        raise TypeError(f"report sides are Fraction, RationalFunction or tuple: {report!r}")
-    return _JSON(vars(report))
+    """One report as a JSON object (one line); a side outside ``Side`` raises TypeError.
+
+    Fraction or RationalFunction sides and int or Fraction params fill one
+    template; ``_JSON``, which writes the same bytes, takes any other report.
+    """
+    params = report.params
+    try:
+        return _LINE(
+            _STRING(report.identity_id),
+            _SIDE[type(report.lhs)](report.lhs),
+            ", ".join([f"{_STRING(k)}: {_PARAM[type(v)](v)}" for k, v in sorted(params.items())]),
+            _SIDE[type(report.rhs)](report.rhs),
+            _STRING(report.verdict),
+        )
+    except (KeyError, TypeError):
+        if not (isinstance(report.lhs, Side) and isinstance(report.rhs, Side)):
+            raise TypeError(f"report sides are Fraction, RationalFunction or tuple: {report!r}")
+        return _JSON(vars(report))
 
 
 def reports_to_json_lines(reports: Sequence[IdentityReport]) -> str:
-    return "\n".join(report_to_json(r) for r in reports) + "\n"
+    return "\n".join([report_to_json(r) for r in reports]) + "\n"

@@ -7,13 +7,16 @@ The k-th smallest of n i.i.d. unit exponentials has Laplace transform
                           * s / (s + n - m + j)
 
 Both are built here as canonical :class:`RationalFunction` objects, so the
-two constructions can be compared structurally.  The product form's value
-at one rational point is :func:`product_value`, taken in integers.  On top
-of them sit the alternating derivative sum that gives the probability that
-an independent Erlang variable outlasts the order statistic, and the same
-probability written as a double sum with r-th powers.  These two are
-evaluated at a rational point s with exact integer and Fraction
-arithmetic, not as rational functions; no derivative is ever built.
+two constructions can be compared structurally.  Each expands prod (s + c)
+in one int list, and :meth:`RationalFunction.over_roots` reduces the double
+sum by dividing out each (s + c) its numerator shares, with no Euclid.
+
+Every other function gives a value at one point s = a/b, an int or a
+Fraction, from plain integers normalized once into a Fraction.  The product
+form's value is :func:`product_value`.  On top of it sit the alternating
+derivative sum that gives the probability that an independent Erlang
+variable outlasts the order statistic, and the same probability written as
+a double sum with r-th powers; no derivative is ever built.
 Leibniz on f' = f*g, g = -sum_c 1/(s+c), turns u_j = (-s)^j f^(j)(s) / j!
 into the positive recurrence
 
@@ -30,7 +33,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Polynomial, Rational, RationalFunction, Scalar, _sum_pairs, binomial
+from .exact import Rational, RationalFunction, Scalar, binomial
+from .exact import _deflate, _expand, _ratio, _sum_pairs
 
 __all__ = [
     "OrderStatParams",
@@ -61,18 +65,9 @@ class OrderStatParams:
         return range(self.n - self.k + 1, self.n + 1)
 
 
-def _s_plus(c: int) -> Polynomial:
-    return Polynomial((c, 1))
-
-
 def product_form(p: OrderStatParams) -> RationalFunction:
     """Transform as a finite product: constant numerator, denominator of degree k."""
-    numer = 1
-    denom = Polynomial((1,))
-    for j in p.rates:
-        numer *= j
-        denom = denom * _s_plus(j)
-    return RationalFunction(Polynomial((numer,)), denom)
+    return RationalFunction.over_roots([math.prod(p.rates)], p.rates)
 
 
 def _signed_coefficients(p: OrderStatParams) -> list[int]:
@@ -93,24 +88,31 @@ def double_sum_form(p: OrderStatParams) -> RationalFunction:
 
     The (m, j) term is C(n,m) C(m,j) (-1)^j s/(s+c) with c = n - m + j, so
     the double sum is sum_{c=0}^{n} A_c s/(s+c) with integer A_c, of which
-    only k+1 are nonzero.  It is accumulated exactly over the shared
-    denominator prod_{c=0}^{n} (s + c) and reduced once at the end.
+    only k+1 are nonzero.  Its numerator s * sum_c A_c prod_{c' != c} (s+c')
+    over prod_{c=0}^{n} (s + c) is summed in one int list and reduced once.
     """
-    shared = Polynomial((1,))
-    for c in range(p.n + 1):
-        shared = shared * _s_plus(c)
-    numer = Polynomial()
+    roots = range(p.n + 1)
+    shared = _expand(roots)
+    numer = [0] * (p.n + 2)
     for c, A in enumerate(_signed_coefficients(p)):
         if A:
-            numer = numer + shared.divexact(_s_plus(c)) * A
-    return RationalFunction(numer.shift(), shared)
+            for i, x in enumerate(_deflate(shared, c)[1], 1):
+                numer[i] += A * x
+    return RationalFunction.over_roots(numer, roots)
 
 
-def _positive_rational(s: Scalar) -> Fraction:
-    s = Fraction(s)
-    if s <= 0:
+def _positive_ratio(s: Scalar) -> tuple[int, int]:
+    a, b = _ratio(s)
+    if a <= 0:
         raise ValueError(f"transform argument must be > 0, got {s}")
-    return s
+    return a, b
+
+
+def _check_power(r: int, what: str) -> None:
+    if isinstance(r, bool) or not isinstance(r, int):
+        raise TypeError(f"{what} must be an int, got {type(r).__name__}")
+    if r < 1:
+        raise ValueError(f"{what} must be >= 1, got {r}")
 
 
 def product_value(p: OrderStatParams, s: Scalar) -> Fraction:
@@ -119,8 +121,7 @@ def product_value(p: OrderStatParams, s: Scalar) -> Fraction:
     For s = a/b this is prod c*b / prod (a + c*b), two integer products and
     one normalization, with no rational function built.
     """
-    s = _positive_rational(s)
-    a, b = s.numerator, s.denominator
+    a, b = _positive_ratio(s)
     return Fraction(math.prod(c * b for c in p.rates), math.prod(a + c * b for c in p.rates))
 
 
@@ -139,16 +140,28 @@ def erlang_weighted_sum(p: OrderStatParams, r: int, s: Scalar) -> Rational:
 
     with H_q = sum_c (s/(s+c))^q, because (-s)^(q+1) g^(q)(s) / q! = H_{q+1}.
     Every u_j and H_q is positive, so nothing cancels.
+
+    The recurrence runs in integers.  H_q = N_q/D_q is the unreduced pair
+    of ``_sum_pairs``, and u_m = u_0 V_m / (m! C_m) with C_0 = 1 and C_m the
+    lcm of the C_{m-q} D_q over q = 1..m, a multiple of C_{m-1}.  (Each D_q
+    is D_1^q, so C_m = D_1^m.)  The partial sum u_0 + ... + u_m is kept over
+    the same denominator, and the result is normalized once.
     """
-    if r < 1:
-        raise ValueError(f"Erlang shape must be >= 1, got {r}")
-    s = _positive_rational(s)
-    a, b = s.numerator, s.denominator
-    u = [product_value(p, s)]
-    h = [Fraction(*_sum_pairs([(a**q, (a + c * b) ** q) for c in p.rates])) for q in range(1, r)]
+    _check_power(r, "Erlang shape")
+    a, b = _positive_ratio(s)
+    u0 = product_value(p, s)
+    h = [_sum_pairs([(a**q, (a + c * b) ** q) for c in p.rates]) for q in range(1, r)]
+    C, V, total = [1], [1], 1
     for m in range(1, r):
-        u.append(sum(u[i] * h[m - 1 - i] for i in range(m)) / m)
-    return sum(u)
+        scaled = [C[m - q] * h[q - 1][1] for q in range(1, m + 1)]
+        C.append(math.lcm(*scaled))
+        v, falling = 0, 1  # falling = (m-1)!/(m-q)!, so V_m is over m!
+        for q in range(1, m + 1):
+            v += falling * V[m - q] * h[q - 1][0] * (C[m] // scaled[q - 1])
+            falling *= m - q
+        V.append(v)
+        total = total * m * (C[m] // C[m - 1]) + v
+    return Fraction(u0.numerator * total, u0.denominator * math.factorial(r - 1) * C[-1])
 
 
 def generalized_double_sum(p: OrderStatParams, r: int, s: Scalar) -> Rational:
@@ -160,10 +173,8 @@ def generalized_double_sum(p: OrderStatParams, r: int, s: Scalar) -> Rational:
     k = n, A_c = (-1)^c C(n,c), so r = 1 gives the max-order sum
     sum_j (-1)^j C(n,j) s/(s+j).
     """
-    if r < 1:
-        raise ValueError(f"power must be >= 1, got {r}")
-    s = _positive_rational(s)
-    a, b = s.numerator, s.denominator
+    _check_power(r, "power")
+    a, b = _positive_ratio(s)
     coeff = _signed_coefficients(p)
     ar = a**r
     return Fraction(*_sum_pairs([(A * ar, (a + c * b) ** r) for c, A in enumerate(coeff) if A]))

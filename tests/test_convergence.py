@@ -134,6 +134,16 @@ class TestKolmogorovPvalue:
     def test_zero_statistic(self):
         assert _kolmogorov_pvalue(0.0) == 1.0
 
+    @pytest.mark.parametrize("nd2", [11.6, 20.0])
+    def test_far_tail_is_the_leading_term_not_zero(self, nd2):
+        # every term of the series is below the 1e-10 cut here
+        with mpmath.workdps(40):
+            series = 2 * mpmath.nsum(lambda i: (-1) ** (i - 1) * mpmath.exp(-2 * i * i * nd2), [1, mpmath.inf])
+        p = _kolmogorov_pvalue(nd2)
+        assert p > 0
+        assert p == pytest.approx(float(series), rel=1e-12)
+        assert p == pytest.approx(float(kolmogorov(math.sqrt(nd2))), rel=1e-12)
+
 
 class TestKsOneSample:
     def test_same_law_passes(self):

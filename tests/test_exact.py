@@ -325,3 +325,95 @@ class TestConstantSide:
                     denom = denom * Polynomial((j, 1))
                 f = product_form(p)
                 assert (f.numer, f.denom) == euclid_canonical(Polynomial((math.prod(p.rates),)), denom)
+
+
+def fraction_horner_value(f, s):
+    """RationalFunction.evaluate as it was: Horner in Fractions on each side, then one division."""
+    def horner(poly):
+        acc = Fraction(0)
+        for c in reversed(poly.coeffs):
+            acc = acc * s + c
+        return acc
+
+    dv = horner(f.denom)
+    if dv == 0:
+        raise ZeroDivisionError
+    return horner(f.numer) / dv
+
+
+points = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+)
+
+
+class TestIntegerEvaluate:
+    """evaluate takes both sides by homogeneous integer Horner: the Fraction Horner's value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(numer=polynomials | st.just(Polynomial()), denom=polynomials, s=points)
+    @example(numer=Polynomial(), denom=Polynomial((3, 1)), s=Fraction(-1, 2))
+    @example(numer=Polynomial((1,)), denom=Polynomial((-4, 0, 1)), s=2)
+    @example(numer=Polynomial((5, 2)), denom=Polynomial((1, 3)), s=Fraction(-1, 3))
+    def test_matches_the_fraction_horner(self, numer, denom, s):
+        f = RationalFunction(numer, denom)
+        try:
+            expected = fraction_horner_value(f, s)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError, match="pole"):
+                f.evaluate(s)
+            return
+        value = f.evaluate(s)
+        assert type(value) is Fraction
+        assert value == expected
+
+    def test_zero_numerator_is_zero(self):
+        assert RationalFunction(Polynomial(), Polynomial((1,))).evaluate(Fraction(-7, 3)) == 0
+
+    @pytest.mark.parametrize("s", [0.1, 1.0, True, "1/2", None, complex(1, 0)])
+    def test_only_ints_and_fractions(self, s):
+        f = RationalFunction(Polynomial((1,)), Polynomial((1, 1)))
+        with pytest.raises(TypeError):
+            f.evaluate(s)
+        with pytest.raises(TypeError):
+            f.denom.evaluate(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly=polynomials | st.just(Polynomial()), s=points)
+    def test_polynomial_value_matches_the_fraction_horner(self, poly, s):
+        expected = Fraction(0)
+        for c in reversed(poly.coeffs):
+            expected = expected * s + c
+        assert poly.evaluate(s) == expected
+
+
+class TestOverRoots:
+    """over_roots divides out the shared (s + c) and gives the general constructor's form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cofactor=polynomials,
+        roots=st.lists(st.integers(-6, 12), min_size=1, max_size=8, unique=True),
+        data=st.data(),
+    )
+    def test_matches_the_general_constructor(self, cofactor, roots, data):
+        shared = data.draw(st.lists(st.sampled_from(roots), max_size=3))
+        numer = cofactor
+        for c in shared:  # a root may be planted twice: only one (s + c) is in the denominator
+            numer = numer * Polynomial((c, 1))
+        f = RationalFunction.over_roots(list(numer.coeffs), roots)
+        denom = Polynomial((1,))
+        for c in roots:
+            denom = denom * Polynomial((c, 1))
+        general = RationalFunction(numer, denom)
+        assert (f.numer, f.denom) == (general.numer, general.denom)
+
+    def test_zero_numerator(self):
+        f = RationalFunction.over_roots([0, 0, 0], range(4))
+        assert (f.numer, f.denom) == (Polynomial(), Polynomial((1,)))
+        assert RationalFunction.over_roots([], [2]).is_zero
+
+    def test_constant_numerator_keeps_every_factor(self):
+        f = RationalFunction.over_roots([-6], [1, 2, 3])
+        assert f == RationalFunction(Polynomial((-6,)), Polynomial((6, 11, 6, 1)))
+        assert f.denom.coeffs == (6, 11, 6, 1)

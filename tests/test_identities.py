@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from exporder.exact import Polynomial, RationalFunction, binomial
+from exporder.laplace import OrderStatParams, product_form, product_value
 from exporder.identities import (
     DEFAULT_MAX_INTEGER_RATE,
     DEFAULT_MAX_N_NESTED,
@@ -320,6 +321,67 @@ class TestRunSuite:
         assert len(failed) == DEFAULT_MAX_N_POINTWISE + nested + 2 * cells + cells
 
 
+class TestOneNormalization:
+    """The integer-accumulated sides are the Fraction sums they replace."""
+
+    @pytest.mark.parametrize("n", range(1, DEFAULT_MAX_N_POWER + 1))
+    def test_nested_and_square_sides_match_the_fraction_sums(self, n):
+        for k in range(1, n + 1):
+            p = OrderStatParams(n, k)
+            for s in (*DEFAULT_S_GRID, F(1, 100), F(13, 7), F(10**6)):
+                nested = verify_nested(n, k, s)
+                assert nested.lhs == sum(
+                    binomial(n, m) * s / (s + n - m) * product_value(OrderStatParams(m, m), s + n - m)
+                    for m in range(k, n + 1)
+                )
+                square = verify_square_closed_form(n, k, s)
+                bracket = 1 + sum(s / (s + j) for j in p.rates)
+                assert square.rhs == product_form(p).evaluate(s) * bracket
+                assert nested.matched and square.matched
+
+    def test_square_min_order_side_matches_the_fraction_form(self):
+        for n in range(1, 13):
+            for s in (*DEFAULT_S_GRID, F(1, 100), F(10**6)):
+                assert verify_square_min_order(n, s).rhs == F(n) * (n + 2 * s) / (s + n) ** 2
+
+    def test_default_sweep_never_runs_euclid(self, monkeypatch):
+        import exporder.exact as exact
+
+        calls = []
+        poly_gcd = exact.poly_gcd
+
+        def counted(p, q):
+            calls.append((p, q))
+            return poly_gcd(p, q)
+
+        monkeypatch.setattr(exact, "poly_gcd", counted)
+        RationalFunction(Polynomial((1, 1)), Polynomial((1, 2, 1)))
+        assert len(calls) == 1  # the general constructor is counted
+        calls.clear()
+        reports = run_suite(12, 4)
+        assert len(reports) == 1878 and all(r.matched for r in reports)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "check, args",
+        [
+            (verify_nested, (3, 2)),
+            (verify_square_closed_form, (3, 2)),
+            (verify_square_min_order, (3,)),
+            (verify_max_order_value, (3,)),
+            (lambda n, k, s: verify_generalized(n, k, 2, s), (3, 2)),
+        ],
+    )
+    @pytest.mark.parametrize("s", [0.5, True, "1/2"])
+    def test_only_exact_points(self, check, args, s):
+        with pytest.raises(TypeError):
+            check(*args, s)
+
+    def test_only_exact_grids(self):
+        with pytest.raises(TypeError):
+            run_suite(2, 1, (0.5,))
+
+
 class TestReportOrder:
     @pytest.mark.parametrize("max_n, max_r", [(DEFAULT_MAX_N_POINTWISE + 1, 1), (12, 4)])
     def test_reports_come_out_sorted(self, max_n, max_r):
@@ -389,6 +451,30 @@ class TestSerialization:
             )
         )
         assert [report_to_json(r) for r in reports] == [old_report_to_json(r) for r in reports]
+
+    def test_template_writes_what_the_json_encoder_writes(self):
+        def encoder_json(report):
+            def hook(value):
+                if isinstance(value, RationalFunction):
+                    return {"numer": list(value.numer.coeffs), "denom": list(value.denom.coeffs)}
+                return str(value)
+
+            return json.dumps(vars(report), sort_keys=True, default=hook)
+
+        zero = RationalFunction(Polynomial(), Polynomial((1,)))
+        negative = RationalFunction(Polynomial((-3, 0, 2)), Polynomial((5, 1)))
+        reports = [
+            IdentityReport("a\"b\u00e9\n", {"z": 1, "a": F(-7, 3), "m": 10**40}, zero, negative, "mismatch"),
+            IdentityReport("flag", {"b": True, "c": False}, F(0), F(-1, 2), "exact_match"),
+            IdentityReport("keys", {"\u00e9": 2, 'q"': F(1, 2)}, F(1), F(1), "exact_match"),
+            IdentityReport("error", {"n": 1, "error": "ValueError: \"x\""}, F(0), F(0), "mismatch"),
+            IdentityReport("tuple", {}, (F(1, 3), F(-2)), (F(0),), "mismatch"),
+            IdentityReport("big", {"s": F(10**30, 7)}, F(-(10**50), 3), negative, "mismatch"),
+        ]
+        for r in reports:
+            assert report_to_json(r) == encoder_json(r)
+        assert reports_to_json_lines(reports) == "".join(encoder_json(r) + "\n" for r in reports)
+        assert reports_to_json_lines([]) == "\n"
 
     @pytest.mark.parametrize("side", [0.5, 1, Decimal("0.5"), 1j, [F(1)], None])
     @pytest.mark.parametrize("which", ["lhs", "rhs"])

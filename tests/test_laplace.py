@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exporder.laplace as laplace
 from exporder.exact import Polynomial, RationalFunction, binomial
 from exporder.identities import DEFAULT_S_GRID
 from exporder.laplace import (
@@ -243,3 +244,126 @@ class TestGeneralizedDoubleSum:
             generalized_double_sum(OrderStatParams(2, 1), 0, F(1))
         with pytest.raises(ValueError):
             generalized_double_sum(OrderStatParams(2, 1), 1, F(-1))
+
+
+NOT_EXACT = [0.1, 1.0, True, "1/2", None]
+
+
+class TestExactInputsOnly:
+    """A point s or a power r that is not an exact int (or Fraction, for s) raises TypeError."""
+
+    @pytest.mark.parametrize("s", NOT_EXACT)
+    def test_product_value(self, s):
+        with pytest.raises(TypeError):
+            product_value(OrderStatParams(3, 2), s)
+
+    @pytest.mark.parametrize("s", NOT_EXACT)
+    def test_erlang_weighted_sum_point(self, s):
+        with pytest.raises(TypeError):
+            erlang_weighted_sum(OrderStatParams(3, 2), 2, s)
+
+    @pytest.mark.parametrize("s", NOT_EXACT)
+    def test_generalized_double_sum_point(self, s):
+        with pytest.raises(TypeError):
+            generalized_double_sum(OrderStatParams(3, 2), 2, s)
+
+    @pytest.mark.parametrize("r", [True, 2.0, F(2), "2", None])
+    def test_powers(self, r):
+        with pytest.raises(TypeError):
+            erlang_weighted_sum(OrderStatParams(3, 2), r, F(1))
+        with pytest.raises(TypeError):
+            generalized_double_sum(OrderStatParams(3, 2), r, F(1))
+
+    @pytest.mark.parametrize("s", NOT_EXACT)
+    def test_evaluating_a_form(self, s):
+        with pytest.raises(TypeError):
+            product_form(OrderStatParams(3, 2)).evaluate(s)
+
+    def test_an_int_point_is_exact(self):
+        p = OrderStatParams(3, 2)
+        assert erlang_weighted_sum(p, 2, 1) == erlang_weighted_sum(p, 2, F(1)) == F(19, 24)
+        assert generalized_double_sum(p, 2, 1) == F(19, 24)
+
+
+def fraction_recurrence(p, r_max, s):
+    """u_0 .. u_{r_max - 1} of erlang_weighted_sum's recurrence, in Fractions as it once ran."""
+    h = [sum(F(s / (s + c)) ** q for c in p.rates) for q in range(1, r_max)]
+    u = [product_value(p, s)]
+    for m in range(1, r_max):
+        u.append(sum(u[i] * h[m - 1 - i] for i in range(m)) / m)
+    return u
+
+
+class TestIntegerRecurrence:
+    def test_matches_the_fraction_recurrence(self):
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                p = OrderStatParams(n, k)
+                for s in (F(1, 3), F(1), F(7, 2), F(13, 7)):
+                    u = fraction_recurrence(p, 20, s)
+                    for r in range(1, 21):
+                        assert erlang_weighted_sum(p, r, s) == sum(u[:r]), (n, k, r, s)
+
+
+def test_any_pairs_of_the_right_value(monkeypatch):
+    """The recurrence needs no relation between the D_q: reduced or rescaled pairs give the same sum."""
+    sum_pairs = laplace._sum_pairs
+    p, s = OrderStatParams(6, 4), F(7, 2)
+    expected = [erlang_weighted_sum(p, r, s) for r in range(1, 9)]
+    for reshape in (
+        lambda n, d: (n // math.gcd(n, d), d // math.gcd(n, d)),
+        lambda n, d: (n * (d % 7 + 2), d * (d % 7 + 2)),
+    ):
+        monkeypatch.setattr(laplace, "_sum_pairs", lambda items: reshape(*sum_pairs(items)))
+        assert [erlang_weighted_sum(p, r, s) for r in range(1, 9)] == expected
+
+
+def general_double_sum_form(p):
+    """double_sum_form as it was built: one Polynomial per step, reduced by Euclid."""
+    shared = Polynomial((1,))
+    for c in range(p.n + 1):
+        shared = shared * Polynomial((c, 1))
+    numer = Polynomial()
+    for c, A in enumerate(laplace._signed_coefficients(p)):
+        if A:
+            numer = numer + shared.divexact(Polynomial((c, 1))) * A
+    return RationalFunction(Polynomial((0, *numer.coeffs)), shared)
+
+
+class TestRootDivision:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_double_sum_form_matches_the_general_constructor(self, n):
+        for k in range(1, n + 1):
+            p = OrderStatParams(n, k)
+            f, g = double_sum_form(p), general_double_sum_form(p)
+            assert (f.numer, f.denom) == (g.numer, g.denom)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_planted_common_roots_at_both_ends(self, n):
+        # numerators with factors (s + 0) and (s + n), one of them twice, over prod_{c<=n} (s + c)
+        shared = Polynomial((1,))
+        for c in range(n + 1):
+            shared = shared * Polynomial((c, 1))
+        ends = Polynomial((0, 1)) * Polynomial((n, 1))
+        # no cofactor has a root at another -c, so exactly the two end factors go
+        for cofactor in (Polynomial((3,)), Polynomial((2, 0, 5)), Polynomial((n, 1)), Polynomial((0, -4))):
+            numer = ends * cofactor
+            f = RationalFunction.over_roots(list(numer.coeffs), range(n + 1))
+            g = RationalFunction(numer, shared)
+            assert (f.numer, f.denom) == (g.numer, g.denom)
+            assert f.denom.degree == n - 1
+
+    def test_faulted_coefficients_are_canonical_too(self, monkeypatch):
+        signed_coefficients = laplace._signed_coefficients
+
+        def faulty(p):
+            coeff = signed_coefficients(p)
+            coeff[0] += 1
+            return coeff
+
+        monkeypatch.setattr(laplace, "_signed_coefficients", faulty)
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                p = OrderStatParams(n, k)
+                f, g = double_sum_form(p), general_double_sum_form(p)
+                assert (f.numer, f.denom) == (g.numer, g.denom)

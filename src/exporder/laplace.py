@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Rational, RationalFunction, Scalar, binomial
+from .exact import Polynomial, Rational, RationalFunction, Scalar, binomial
 from .exact import _deflate, _expand, _ratio, _sum_pairs
 
 __all__ = [
@@ -67,7 +67,7 @@ class OrderStatParams:
 
 def product_form(p: OrderStatParams) -> RationalFunction:
     """Transform as a finite product: constant numerator, denominator of degree k."""
-    return RationalFunction.over_roots([math.prod(p.rates)], p.rates)
+    return RationalFunction(math.prod(p.rates), Polynomial(_expand(p.rates)))
 
 
 def _signed_coefficients(p: OrderStatParams) -> list[int]:

@@ -18,7 +18,6 @@ and no output mode prints timings.  EXPORDER_SEED (decimal, checked like
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import json
 import os
@@ -50,6 +49,7 @@ _TABLES = {
     "gumbel": "gumbel_approx_error",
 }
 DEFAULT_TARGETS = (*_TABLES, "tail")
+_TAIL_CSV = "the tail audit has no CSV form; use --format json, or --targets without tail"
 
 # audit defaults: 50 log-spaced sizes in [1, 10^4], x = 0.01 .. 10 step 0.01
 TAIL_N_GRID = tuple(
@@ -206,6 +206,8 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
             parser.error(
                 f"--chunks must be <= --replicates, got {config.chunks} > {config.replicates}"
             )
+    if config.command == "converge" and config.output_format == "csv" and "tail" in config.targets:
+        parser.error(_TAIL_CSV)
     return config
 
 
@@ -302,8 +304,7 @@ def _run_converge(config: RunConfig) -> tuple[int, list[str]]:
     table_targets = [t for t in config.targets if t in _TABLES]
     want_tail = "tail" in config.targets
     if config.output_format == "csv" and want_tail:
-        sys.stderr.write("exporder: the tail audit has no CSV form; use --format json\n")
-        return 2, []
+        raise ValueError(_TAIL_CSV)
 
     problems: list[str] = []
     chunks: list[str] = []
@@ -415,69 +416,66 @@ _COMMANDS = {
 }
 
 
-def _output_errno(path: str) -> Optional[int]:
-    """The errno that writing path would surely fail with, or None; touches no file."""
-    if not path:
-        return errno.ENOENT  # open("") fails so
-    if os.path.exists(path):
-        if os.path.isdir(path):
-            return errno.EISDIR
-        return None if os.access(path, os.W_OK) else errno.EACCES
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        return errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-    return None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
-
-
-def _cannot_write(path: str, reason: str) -> int:
-    sys.stderr.write(f"exporder: cannot write {path}: {reason}\n")
+def _cannot_write(path: str, exc: OSError) -> int:
+    sys.stderr.write(f"exporder: cannot write {path}: {exc.strerror or exc}\n")
     return 2
 
 
-def _write_output(path: str, pieces: Sequence[str]) -> None:
-    """Replace what path holds with the pieces of text, in order.
+def _write_output(fd: int, pieces: Sequence[str]) -> None:
+    """Replace what the open file fd holds with the pieces of text, in order.
 
     A regular file is overwritten in place and then cut to the bytes written,
-    not truncated when it is opened: on ext4, truncating a file whose old
-    pages are still being written back waits for that writeback, and a file
-    truncated to zero is flushed when it is closed.  Rewriting one 309 KB
-    ``converge`` output while the disk was busy took 3-15 ms per write that
-    way and 0.2 ms in place.  Every piece is encoded before the file is
-    opened, so text that cannot be encoded leaves the file as it was; a
-    failed write leaves only what was written.
+    never truncated first: on ext4, truncating a file whose old pages are
+    still being written back waits for that writeback, and a file truncated
+    to zero is flushed when it is closed (3-15 ms per 309 KB ``converge``
+    rewrite on a busy disk, against 0.2 ms in place).  Every piece is encoded
+    before the first write, so text that cannot be encoded leaves the file as
+    it was; a failed write leaves only what was written.
     """
     data = [memoryview(piece.encode("utf-8")) for piece in pieces]
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    done = 0
     try:
-        done = 0
-        try:
-            for view in data:
-                while view:
-                    written = os.write(fd, view)
-                    done += written
-                    view = view[written:]
-        finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, done)
+        for view in data:
+            while view:
+                written = os.write(fd, view)
+                done += written
+                view = view[written:]
     finally:
-        os.close(fd)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, done)
 
 
 def run(config: RunConfig) -> int:
     """Execute one configured command; returns the process exit code."""
     path = config.output_path
-    # a path that cannot be written fails before the work, and the file is
-    # opened only after it, so a failed command leaves an old file as it was
-    if path is not None and (err := _output_errno(path)):
-        return _cannot_write(path, os.strerror(err))
-    code, pieces = _COMMANDS[config.command](config)
     if path is None:
+        code, pieces = _COMMANDS[config.command](config)
         sys.stdout.writelines(pieces)
         return code
+    # opened once, before the work and not truncated: an unwritable path fails
+    # with the OS's reason before the command runs, and a command that raises
+    # leaves an old file as it was and removes a file this run created
+    created = True
     try:
-        _write_output(path, pieces)
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            created = False
+            fd = os.open(path, os.O_WRONLY)
     except OSError as exc:
-        return _cannot_write(path, exc.strerror or str(exc))
+        return _cannot_write(path, exc)
+    try:
+        code, pieces = _COMMANDS[config.command](config)
+        try:
+            _write_output(fd, pieces)
+        except OSError as exc:
+            return _cannot_write(path, exc)
+    except BaseException:
+        if created:
+            os.unlink(path)
+        raise
+    finally:
+        os.close(fd)
     return code
 
 

@@ -8,9 +8,9 @@ Fraction; each rational side is summed in integers and normalized once, and
 the structural sides are ``laplace``'s forms, reduced without Euclid.
 :func:`run_suite` sweeps the whole family over a parameter grid and returns
 reports in a deterministic order.  A report is one JSON line from one line
-template, the bytes the ``json`` encoder writes; that encoder, whose hook
-writes rational functions and fractions exactly, takes tuple sides and
-string params.
+template, the bytes ``json.dumps`` writes with sorted keys: a fraction as
+its string, a rational function as its coefficient lists, a tuple side as
+a list of fraction strings.  A value of any other type raises TypeError.
 
 The product form prod_j j/(s+j) enters the pointwise checkers two ways.
 ``laplace.product_value`` gives its value on one side:
@@ -324,53 +324,50 @@ def run_suite(
     return [_run_case(*case) for case in _cases(max_n, max_r, s_grid)]
 
 
-def _exact_value(value):
-    """json's hook: a rational function as its coefficient lists, a fraction as its string."""
-    if isinstance(value, RationalFunction):
-        return {"numer": list(value.numer.coeffs), "denom": list(value.denom.coeffs)}
-    if isinstance(value, Fraction):
-        return str(value)
-    raise TypeError(f"a report holds no {type(value).__name__}: {value!r}")
-
-
-_JSON = json.JSONEncoder(sort_keys=True, default=_exact_value).encode
-# one report as _JSON writes it, keys in sorted order
+# one report as json.dumps(vars(report), sort_keys=True) writes it: a
+# fraction as its string, a rational function as its coefficient lists, a
+# tuple side as a list of fraction strings
 _LINE = '{{"identity_id": {}, "lhs": {}, "params": {{{}}}, "rhs": {}, "verdict": {}}}'.format
 _STRING = json.encoder.encode_basestring_ascii
+_FRACTION_STRING = '"{!s}"'.format
 
 
 def _coefficients(poly: Polynomial) -> str:
     return ", ".join(map(str, poly.coeffs))
 
 
-_SIDE = {
-    Fraction: lambda f: f'"{f!s}"',
+class _Encoders(dict):
+    # type -> encoder; a type with no encoder raises TypeError naming it
+    def __missing__(self, kind: type):
+        raise TypeError(f"a report holds no {kind.__name__}")
+
+
+_ELEMENT = _Encoders({Fraction: _FRACTION_STRING})
+_SIDE = _Encoders({
+    Fraction: _FRACTION_STRING,
     RationalFunction: lambda f: (
         f'{{"denom": [{_coefficients(f.denom)}], "numer": [{_coefficients(f.numer)}]}}'
     ),
-}
-_PARAM = {int: str, Fraction: _SIDE[Fraction]}
+    tuple: lambda t: f"[{', '.join([_ELEMENT[type(f)](f) for f in t])}]",
+})
+_PARAM = _Encoders(
+    {int: str, bool: lambda b: "true" if b else "false", str: _STRING, Fraction: _FRACTION_STRING}
+)
 
 
 def report_to_json(report: IdentityReport) -> str:
-    """One report as a JSON object (one line); a side outside ``Side`` raises TypeError.
+    """One report as a JSON object (one line), from one template.
 
-    Fraction or RationalFunction sides and int or Fraction params fill one
-    template; ``_JSON``, which writes the same bytes, takes any other report.
+    Sides are a Fraction, a RationalFunction or a tuple of Fractions; params
+    are int, bool, str or Fraction.  Any other value raises TypeError.
     """
-    params = report.params
-    try:
-        return _LINE(
-            _STRING(report.identity_id),
-            _SIDE[type(report.lhs)](report.lhs),
-            ", ".join([f"{_STRING(k)}: {_PARAM[type(v)](v)}" for k, v in sorted(params.items())]),
-            _SIDE[type(report.rhs)](report.rhs),
-            _STRING(report.verdict),
-        )
-    except (KeyError, TypeError):
-        if not (isinstance(report.lhs, Side) and isinstance(report.rhs, Side)):
-            raise TypeError(f"report sides are Fraction, RationalFunction or tuple: {report!r}")
-        return _JSON(vars(report))
+    return _LINE(
+        _STRING(report.identity_id),
+        _SIDE[type(report.lhs)](report.lhs),
+        ", ".join([f"{_STRING(k)}: {_PARAM[type(v)](v)}" for k, v in sorted(report.params.items())]),
+        _SIDE[type(report.rhs)](report.rhs),
+        _STRING(report.verdict),
+    )
 
 
 def reports_to_json_lines(reports: Sequence[IdentityReport]) -> str:

@@ -4,7 +4,9 @@ import errno
 import hashlib
 import json
 import os
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +92,16 @@ class TestParsing:
             parse(argv)
         assert exc.value.code == 2
         assert "must be <=" in capsys.readouterr().err
+
+    def test_readme_command_lines_parse(self, monkeypatch):
+        """Every line of README's command-line block is a valid invocation."""
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+        argvs = [shlex.split(line, comments=True) for line in block.splitlines()]
+        assert [argv[:1] for argv in argvs] == [["exporder"]] * 5
+        for argv in argvs:
+            assert parse(argv[1:]).command == argv[1]
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
@@ -208,17 +220,25 @@ class TestOutputPath:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not target.exists()
 
-    @pytest.mark.parametrize("missing", [False, True])
-    def test_unwritable_output_fails_before_the_command(
-        self, tmp_path, capsys, monkeypatch, missing
-    ):
+    UNWRITABLE = {  # kind -> path under tmp_path, errno
+        "directory": ("", errno.EISDIR),
+        "missing directory": ("missing/x", errno.ENOENT),
+        "300-byte name": ("x" * 300, errno.ENAMETOOLONG),
+        "dangling symlink": ("link", errno.ENOENT),
+    }
+
+    @pytest.mark.parametrize("kind", UNWRITABLE)
+    def test_unwritable_output_fails_before_the_command(self, tmp_path, capsys, monkeypatch, kind):
         calls = []
         monkeypatch.setitem(cli._COMMANDS, "race", lambda config: calls.append(config) or (0, ""))
-        target = tmp_path / "missing" / "x" if missing else tmp_path
+        name, err = self.UNWRITABLE[kind]
+        target = tmp_path / name
+        if kind == "dangling symlink":
+            target.symlink_to(tmp_path / "missing" / "x")
         assert cli.main(["race", "--output", str(target)]) == 2
         assert calls == []
-        reason = "No such file or directory" if missing else "Is a directory"
-        assert capsys.readouterr().err == f"exporder: cannot write {target}: {reason}\n"
+        assert capsys.readouterr().err == f"exporder: cannot write {target}: {os.strerror(err)}\n"
+        assert [p.name for p in tmp_path.iterdir()] == (["link"] if kind == "dangling symlink" else [])
 
     def test_empty_output_path_is_usage_error(self, capsys):
         assert cli.main(["race", "--replicates", "1000", "--output", ""]) == 2
@@ -227,17 +247,18 @@ class TestOutputPath:
         assert err == "exporder: cannot write : No such file or directory\n"
 
     def test_failed_command_keeps_an_old_file(self, tmp_path, monkeypatch):
-        target = tmp_path / "old.json"
-        target.write_bytes(b"old bytes")
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_bytes(b"old bytes")
 
         def failing(config):
             raise RuntimeError("command failed")
 
         monkeypatch.setitem(cli._COMMANDS, "race", failing)
-        with pytest.raises(RuntimeError):
-            cli.main(["race", "--output", str(target)])
-        assert target.read_bytes() == b"old bytes"
-
+        for target in (old, new):
+            with pytest.raises(RuntimeError):
+                cli.main(["race", "--output", str(target)])
+        assert old.read_bytes() == b"old bytes"
+        assert not new.exists()
 
     RACE = ["race", "--replicates", "10", "--format", "json"]
 
@@ -287,15 +308,20 @@ class TestOutputPath:
                 return os.write(fd, data[:1000])
 
         monkeypatch.setattr(cli, "os", ShortWrites())
-        cli._write_output(str(target), [text[:1000], text[1000:]])
+        monkeypatch.setitem(cli._COMMANDS, "race", lambda config: (1, [text[:1000], text[1000:]]))
+        assert cli.main(["race", "--output", str(target)]) == 1
         assert target.read_bytes() == text.encode()
 
-    def test_text_that_cannot_be_encoded_leaves_the_old_file(self, tmp_path):
-        target = tmp_path / "old.txt"
-        target.write_text("old output\n")
-        with pytest.raises(UnicodeEncodeError):
-            cli._write_output(str(target), ["new output\n", "new \ud800 output\n"])
-        assert target.read_text() == "old output\n"
+    def test_text_that_cannot_be_encoded_leaves_the_old_file(self, tmp_path, monkeypatch):
+        old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+        old.write_text("old output\n")
+        pieces = ["new output\n", "new \ud800 output\n"]
+        monkeypatch.setitem(cli._COMMANDS, "race", lambda config: (0, pieces))
+        for target in (old, new):
+            with pytest.raises(UnicodeEncodeError):
+                cli.main(["race", "--output", str(target)])
+        assert old.read_text() == "old output\n"
+        assert not new.exists()
 
 
 class TestSimulateCommand:
@@ -365,9 +391,21 @@ class TestConvergeCommand:
         assert calls == {"basel_table": 1, "variance_convergence_check": 0}
         assert tables["variance"] == tables["basel"]
 
-    def test_tail_with_csv_is_usage_error(self, capsys):
-        code, _ = run_cli(["converge", "--targets", "tail", "--format", "csv"], capsys)
-        assert code == 2
+    def test_tail_with_csv_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "old.csv"
+        target.write_bytes(b"old bytes")
+        # the default targets include tail
+        for targets in (["--targets", "tail"], ["--targets", "gamma,tail"], []):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["converge", "--format", "csv", "--output", str(target), *targets])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(f"exporder: error: {cli._TAIL_CSV}\n")
+        assert target.read_bytes() == b"old bytes"
+
+    def test_hand_built_tail_with_csv_raises(self):
+        config = cli.RunConfig("converge", output_format="csv", targets=("tail",))
+        with pytest.raises(ValueError, match="no CSV form"):
+            cli.run(config)
 
 
 class TestRaceCommand:

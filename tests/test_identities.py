@@ -439,7 +439,7 @@ class TestSerialization:
             json.loads(line)
 
     def test_equals_the_side_by_side_payload(self):
-        """json's hook writes every report as the hand-built payload did, byte for byte."""
+        """The template writes every report as the hand-built payload did, byte for byte."""
         reports = run_suite(12, 4)
         reports.append(
             IdentityReport(
@@ -469,6 +469,7 @@ class TestSerialization:
             IdentityReport("keys", {"\u00e9": 2, 'q"': F(1, 2)}, F(1), F(1), "exact_match"),
             IdentityReport("error", {"n": 1, "error": "ValueError: \"x\""}, F(0), F(0), "mismatch"),
             IdentityReport("tuple", {}, (F(1, 3), F(-2)), (F(0),), "mismatch"),
+            IdentityReport("empty", {"length": 0}, (), (), "exact_match"),
             IdentityReport("big", {"s": F(10**30, 7)}, F(-(10**50), 3), negative, "mismatch"),
         ]
         for r in reports:
@@ -482,6 +483,13 @@ class TestSerialization:
         rep = verify_generalized(2, 1, 1, F(1))
         setattr(rep, which, side)
         with pytest.raises(TypeError):
+            report_to_json(rep)
+
+    @pytest.mark.parametrize("value", [0.5, None, [1], Decimal("0.5")])
+    def test_param_outside_param_types_rejected(self, value):
+        rep = verify_generalized(2, 1, 1, F(1))
+        rep.params["x"] = value
+        with pytest.raises(TypeError, match=type(value).__name__):
             report_to_json(rep)
 
     def test_other_value_in_a_tuple_side_rejected(self):
